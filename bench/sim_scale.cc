@@ -1,11 +1,11 @@
 // Simulation-engine scale bench: wall-clock and peak RSS of a Fig-9-style
 // run (Farsite-like churn trace, the paper's query injected at T/4) at
-// 10^4 / 10^5 / 10^6 endsystems, comparing the serial engine against the
-// laned engine at 1 and 2 worker threads.
+// 10^4 / 10^5 / 10^6 endsystems. Only the population (and its simulated
+// window) varies between points; everything else is fixed.
 //
-// Each configuration runs in a forked child so ru_maxrss (process-monotone)
-// measures that configuration alone; the child reports a POD result over a
-// pipe. Committed results live at BENCH_sim_scale.json; reproduce with
+// Each point runs in a forked child so ru_maxrss (process-monotone)
+// measures that point alone; the child reports a POD result over a pipe.
+// Reproduce with
 //
 //   SEAWEED_BENCH_OUT=BENCH_sim_scale.raw.json ./build/bench/sim_scale
 //
@@ -41,13 +41,6 @@ namespace {
 struct Point {
   int endsystems;
   double sim_hours;
-};
-
-struct Config {
-  Point point;
-  int lanes;    // 0 = serial engine
-  int threads;  // workers for the laned engine
-  bool encode_in_flight;
 };
 
 // POD shipped child -> parent over the pipe.
@@ -89,36 +82,26 @@ std::vector<Point> ParsePoints() {
   return points;
 }
 
-const char* EngineName(const Config& cfg) {
-  return cfg.lanes == 0 ? "serial" : (cfg.threads > 1 ? "laned_t2" : "laned_t1");
-}
-
-// Runs one configuration in this process; called only in the forked child.
-RunResult RunConfig(const Config& cfg) {
+// Runs one point in this process; called only in the forked child.
+RunResult RunPoint(const Point& point) {
   bench::WallTimer timer;
-  SimDuration duration =
-      static_cast<SimDuration>(cfg.point.sim_hours * kHour);
+  SimDuration duration = static_cast<SimDuration>(point.sim_hours * kHour);
 
   FarsiteModelConfig trace_cfg;
   trace_cfg.seed = 1;
   AvailabilityTrace trace =
-      GenerateFarsiteTrace(trace_cfg, cfg.point.endsystems, duration + kHour);
+      GenerateFarsiteTrace(trace_cfg, point.endsystems, duration + kHour);
 
   ClusterOptions opts;
-  opts.WithEndsystems(cfg.point.endsystems)
+  opts.WithEndsystems(point.endsystems)
       .WithSeed(1)
       .WithKeepTables(false)
-      .WithSummaryWireBytes(6473)
-      .WithLanes(cfg.lanes)
-      .WithThreads(cfg.threads)
-      .WithEncodeInFlight(cfg.encode_in_flight);
+      .WithSummaryWireBytes(6473);
   // Small per-node tables keep the 10^6 point inside RAM: every endsystem
   // still builds, replicates, and queries real summaries, but the encoded
   // record is ~1 KB instead of ~14 KB (metadata replicas dominate peak RSS
   // at large N). Wire-level costs are unaffected — summaries are charged at
-  // the paper's h = 6473 B via WithSummaryWireBytes above — and the config
-  // is identical across the three engines at every point, so the
-  // serial-vs-laned comparison is apples to apples.
+  // the paper's h = 6473 B via WithSummaryWireBytes above.
   opts.anemone().days = 1;
   opts.anemone().workstation_flows_per_day = 6;
   SeaweedCluster cluster(opts.BuildOrDie());
@@ -139,13 +122,12 @@ RunResult RunConfig(const Config& cfg) {
   cluster.sim().RunUntil(duration);
   cluster.PublishStatsGauges();
 
-  // SEAWEED_SIM_SCALE_OBS_DIR=<dir> dumps each configuration's final
-  // metrics + spans as <dir>/obs_<N>_<engine>.jsonl — the per-subsystem
-  // mem.* gauges are how you attribute peak RSS at a given point.
+  // SEAWEED_SIM_SCALE_OBS_DIR=<dir> dumps each point's final metrics +
+  // spans as <dir>/obs_<N>.jsonl — the per-subsystem mem.* gauges are how
+  // you attribute peak RSS at a given point.
   if (const char* dir = std::getenv("SEAWEED_SIM_SCALE_OBS_DIR")) {
     std::string path = std::string(dir) + "/obs_" +
-                       std::to_string(cfg.point.endsystems) + "_" +
-                       EngineName(cfg) + ".jsonl";
+                       std::to_string(point.endsystems) + ".jsonl";
     Status st =
         obs::DumpToFile(&cluster.obs().metrics, &cluster.obs().trace, path);
     if (!st.ok()) {
@@ -163,9 +145,9 @@ RunResult RunConfig(const Config& cfg) {
   return r;
 }
 
-// Forks, runs `cfg` in the child, ships the RunResult back over a pipe.
+// Forks, runs `point` in the child, ships the RunResult back over a pipe.
 // Returns false (and leaves *out* untouched) if the child failed.
-bool RunConfigForked(const Config& cfg, RunResult* out) {
+bool RunPointForked(const Point& point, RunResult* out) {
   int fds[2];
   if (pipe(fds) != 0) return false;
   pid_t pid = fork();
@@ -176,7 +158,7 @@ bool RunConfigForked(const Config& cfg, RunResult* out) {
   }
   if (pid == 0) {
     close(fds[0]);
-    RunResult r = RunConfig(cfg);
+    RunResult r = RunPoint(point);
     ssize_t n = write(fds[1], &r, sizeof(r));
     _exit(n == static_cast<ssize_t>(sizeof(r)) ? 0 : 1);
   }
@@ -203,44 +185,30 @@ bool RunConfigForked(const Config& cfg, RunResult* out) {
 int main() {
   Header("sim_scale", "engine wall-clock and peak RSS vs population");
   Note("Fig-9-style run: Farsite churn trace + the paper's query at T/4.");
-  Note("serial = lanes 0 (legacy engine, live in-flight messages);");
-  Note("laned_tK = 8 lanes, K worker threads, encoded in-flight messages.");
 
   bench::ResultWriter results("sim_scale");
   std::vector<std::vector<double>> rows;
 
-  std::printf("%10s %9s %8s %10s %12s %12s %12s\n", "N", "sim_h", "engine",
-              "wall_s", "peak_rss_MB", "events", "events/s");
+  std::printf("%10s %9s %10s %12s %12s %12s\n", "N", "sim_h", "wall_s",
+              "peak_rss_MB", "events", "events/s");
   for (const Point& p : ParsePoints()) {
-    Config configs[] = {
-        {p, /*lanes=*/0, /*threads=*/1, /*encode_in_flight=*/false},
-        {p, /*lanes=*/8, /*threads=*/1, /*encode_in_flight=*/true},
-        {p, /*lanes=*/8, /*threads=*/2, /*encode_in_flight=*/true},
-    };
-    for (const Config& cfg : configs) {
-      RunResult r{};
-      if (!RunConfigForked(cfg, &r)) {
-        std::fprintf(stderr, "!! config N=%d %s failed\n", p.endsystems,
-                     EngineName(cfg));
-        continue;
-      }
-      std::printf("%10d %9.2f %8s %10.1f %12.1f %12.0f %12.0f\n",
-                  p.endsystems, p.sim_hours, EngineName(cfg), r.wall_seconds,
-                  r.peak_rss_bytes / 1e6, r.events_executed,
-                  r.events_per_second);
-      std::fflush(stdout);
-      rows.push_back({static_cast<double>(p.endsystems), p.sim_hours,
-                      static_cast<double>(cfg.lanes),
-                      static_cast<double>(cfg.threads), r.wall_seconds,
-                      r.peak_rss_bytes, r.events_executed,
-                      r.events_per_second});
+    RunResult r{};
+    if (!RunPointForked(p, &r)) {
+      std::fprintf(stderr, "!! point N=%d failed\n", p.endsystems);
+      continue;
     }
+    std::printf("%10d %9.2f %10.1f %12.1f %12.0f %12.0f\n", p.endsystems,
+                p.sim_hours, r.wall_seconds, r.peak_rss_bytes / 1e6,
+                r.events_executed, r.events_per_second);
+    std::fflush(stdout);
+    rows.push_back({static_cast<double>(p.endsystems), p.sim_hours,
+                    r.wall_seconds, r.peak_rss_bytes, r.events_executed,
+                    r.events_per_second});
   }
 
   results.Table("scale",
-                {"endsystems", "sim_hours", "lanes", "threads",
-                 "wall_seconds", "peak_rss_bytes", "events_executed",
-                 "events_per_second"},
+                {"endsystems", "sim_hours", "wall_seconds", "peak_rss_bytes",
+                 "events_executed", "events_per_second"},
                 rows);
   results.WriteFromEnv();
   return 0;

@@ -25,14 +25,6 @@
 //                           round-trip every message through the wire
 //                           codec in flight (debug mode; stdout is
 //                           bit-identical to the in-memory transport)
-//     --lanes K             parallel event lanes (default 0 = serial
-//                           engine). Output depends on K, never on the
-//                           thread count.
-//     --threads N           worker threads for the lanes (default 1);
-//                           stdout and --obs-dump are byte-identical for
-//                           any N with the same --lanes
-//     --encode-in-flight    store queued messages as wire bytes (memory
-//                           compaction for large populations)
 //     --obs-dump FILE       write metrics + trace spans as JSONL at exit
 //
 // Prints the completeness predictor, incremental results, and the final
@@ -69,9 +61,6 @@ struct Args {
   bool batching = false;
   double cache_eps_s = 0;
   int max_active_queries = 0;
-  int lanes = 0;
-  int threads = 1;
-  bool encode_in_flight = false;
   std::string obs_dump;
 };
 
@@ -116,12 +105,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->cache_eps_s = std::atof(v);
     } else if (flag == "--max-active-queries" && (v = need_value())) {
       args->max_active_queries = std::atoi(v);
-    } else if (flag == "--lanes" && (v = need_value())) {
-      args->lanes = std::atoi(v);
-    } else if (flag == "--threads" && (v = need_value())) {
-      args->threads = std::atoi(v);
-    } else if (flag == "--encode-in-flight") {
-      args->encode_in_flight = true;
     } else if (flag == "--obs-dump" && (v = need_value())) {
       args->obs_dump = v;
     } else {
@@ -200,10 +183,7 @@ int main(int argc, char** argv) {
   options.WithEndsystems(args.endsystems)
       .WithSeed(args.seed)
       .WithKeepTables(args.endsystems <= 500)
-      .WithTransport(args.transport)
-      .WithLanes(args.lanes)
-      .WithThreads(args.threads)
-      .WithEncodeInFlight(args.encode_in_flight);
+      .WithTransport(args.transport);
   if (args.batching) options.seaweed().batching = true;
   if (args.cache_eps_s < 0 || args.max_active_queries < 0) {
     std::fprintf(stderr,

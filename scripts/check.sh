@@ -1,14 +1,13 @@
 #!/usr/bin/env bash
 # Full pre-merge check: builds the default configuration and the
 # ASan+UBSan configuration, runs the complete test suite under both, and
-# runs the differentials under both: serializing-transport, chaos replay,
-# and lane determinism (threads=1 vs threads=2 must be byte-identical,
-# stdout and obs JSONL).
+# runs the differentials under both: serializing-transport and chaos
+# replay.
 #
 # Usage: scripts/check.sh [extra ctest args...]
 #
 # SEAWEED_SCALE_SMOKE=1 additionally runs the 10^5-endsystem scale smoke
-# (laned engine, 2 threads) with a wall-clock budget; CI's scale job sets it.
+# with a wall-clock budget; CI's scale job sets it.
 # SEAWEED_LOAD_SMOKE=1 additionally runs the multi-tenant query-load smoke
 # (bench/query_load, capped rates) on both trees; CI's load job sets it.
 # SEAWEED_LIVE_CHAOS=1 additionally runs the process-level chaos harness
@@ -94,32 +93,6 @@ EOF
   echo "batched replays bit-identical"
 }
 
-# Same laned simulation with 1 worker thread and with 2: stdout AND the obs
-# JSONL dump (metrics + spans) must be byte-identical. This is the parallel
-# engine's core contract — results depend on the lane plan, never on who
-# executes the lanes.
-lane_determinism() {
-  local build="$1"
-  local simbin="$build/examples/simctl"
-  require_binary "$simbin"
-  local flags=(--endsystems 200 --hours 2 --seed 7 --lanes 4
-               --query "SELECT COUNT(*), SUM(Bytes) FROM Flow")
-  echo "--- lane determinism differential ($build) ---"
-  "$simbin" "${flags[@]}" --threads 1 --obs-dump "$build/sim_lane_t1.jsonl" \
-      > "$build/sim_lane_t1.out"
-  "$simbin" "${flags[@]}" --threads 2 --obs-dump "$build/sim_lane_t2.jsonl" \
-      > "$build/sim_lane_t2.out"
-  if ! diff -u "$build/sim_lane_t1.out" "$build/sim_lane_t2.out"; then
-    echo "FAIL: thread count changed simulation stdout" >&2
-    exit 1
-  fi
-  if ! diff -u "$build/sim_lane_t1.jsonl" "$build/sim_lane_t2.jsonl"; then
-    echo "FAIL: thread count changed the obs JSONL dump" >&2
-    exit 1
-  fi
-  echo "1-thread and 2-thread runs byte-identical (stdout + obs JSONL)"
-}
-
 # Sketch smoke: the documented accuracy floors (HLL relative error <= 2%
 # at 10^5 distinct values, quantile rank error <= 1%) re-asserted straight
 # from the test binary, plus a serializing-transport differential over a
@@ -178,19 +151,17 @@ live_chaos() {
   }
 }
 
-# 10^5-endsystem smoke on the laned engine: completes within the wall-clock
-# budget, 2 threads, encoded in-flight messages. Gated behind
-# SEAWEED_SCALE_SMOKE because it costs minutes, not seconds.
+# 10^5-endsystem smoke: completes within the wall-clock budget. Gated
+# behind SEAWEED_SCALE_SMOKE because it costs minutes, not seconds.
 scale_smoke() {
   local build="$1"
   local simbin="$build/examples/simctl"
   require_binary "$simbin"
   local budget="${SEAWEED_SCALE_SMOKE_BUDGET_S:-1800}"
-  echo "--- scale smoke: 10^5 endsystems, lanes=8, threads=2 (budget ${budget}s) ---"
+  echo "--- scale smoke: 10^5 endsystems (budget ${budget}s) ---"
   local start
   start=$(date +%s)
   timeout "$budget" "$simbin" --endsystems 100000 --hours 0.1 --seed 7 \
-      --lanes 8 --threads 2 --encode-in-flight \
       > "$build/sim_scale_smoke.out" || {
     echo "FAIL: scale smoke exceeded ${budget}s or crashed" >&2
     exit 1
@@ -233,7 +204,6 @@ cmake --build build -j "$(nproc)"
 ctest --test-dir build --output-on-failure -j "$(nproc)" "$@"
 differential build
 chaos_replay build
-lane_determinism build
 sketch_smoke build
 loopback_smoke build 19600
 if [[ "${SEAWEED_SCALE_SMOKE:-0}" == "1" ]]; then
@@ -253,7 +223,6 @@ cmake --build build-asan -j "$(nproc)"
 ctest --test-dir build-asan --output-on-failure -j "$(nproc)" "$@"
 differential build-asan
 chaos_replay build-asan
-lane_determinism build-asan
 sketch_smoke build-asan
 loopback_smoke build-asan 19620
 if [[ "${SEAWEED_LOAD_SMOKE:-0}" == "1" ]]; then

@@ -1,25 +1,20 @@
 #!/usr/bin/env python3
-"""Converts bench/sim_scale raw ResultWriter output into BENCH_sim_scale.json.
+"""Converts bench/sim_scale raw ResultWriter output into a BENCH JSON file.
 
-Usage: scripts/sim_scale_to_json.py <raw.json> [note...] > BENCH_sim_scale.json
+Usage: scripts/sim_scale_to_json.py <raw.json> [note...] > sim_scale.json
 
 Extra arguments are joined into a free-form "notes" field (e.g. recording
 that the run was capped with SEAWEED_SIM_SCALE_MAX_N).
 
 The raw file is what SEAWEED_BENCH_OUT captures: a "scale" table with one
-row per (endsystems, sim_hours, lanes, threads) configuration. The
-committed form groups rows by population, one entry per engine, matching
-the layout of the other BENCH_*.json files in the repo root.
+row per (endsystems, sim_hours) point. The output keys points by
+population. The committed BENCH_sim_scale.json predates this layout: it is
+the historical serial-vs-laned record (see EXPERIMENTS.md).
 """
 import datetime
 import json
+import os
 import sys
-
-
-def engine_name(lanes: int, threads: int) -> str:
-    if lanes == 0:
-        return "serial"
-    return f"laned_t{threads}"
 
 
 def main() -> None:
@@ -30,12 +25,8 @@ def main() -> None:
     points: dict = {}
     for row in table["rows"]:
         r = dict(zip(cols, row))
-        key = str(int(r["endsystems"]))
-        entry = points.setdefault(
-            key, {"sim_hours": r["sim_hours"], "engines": {}})
-        entry["engines"][engine_name(int(r["lanes"]), int(r["threads"]))] = {
-            "lanes": int(r["lanes"]),
-            "threads": int(r["threads"]),
+        points[str(int(r["endsystems"]))] = {
+            "sim_hours": r["sim_hours"],
             "wall_seconds": round(r["wall_seconds"], 1),
             "peak_rss_mb": round(r["peak_rss_bytes"] / 1e6, 1),
             "events_executed": int(r["events_executed"]),
@@ -45,18 +36,16 @@ def main() -> None:
         "benchmark": "sim_scale",
         "description": (
             "Fig-9-style run (Farsite churn trace, paper query at T/4): "
-            "wall-clock and peak RSS vs population; serial engine (lanes 0, "
-            "live in-flight messages) vs laned engine (8 lanes, encoded "
-            "in-flight messages) at 1 and 2 worker threads. Forked child "
-            "per configuration so ru_maxrss is per-config. Reproduce: "
-            "SEAWEED_BENCH_OUT=raw.json ./build-rel/bench/sim_scale, then "
+            "wall-clock and peak RSS vs population; only the population "
+            "(and its simulated window) varies. Forked child per point so "
+            "ru_maxrss is per-point. Reproduce: "
+            "SEAWEED_BENCH_OUT=raw.json ./build/bench/sim_scale, then "
             "scripts/sim_scale_to_json.py raw.json (see EXPERIMENTS.md)."
         ),
         "context": {
             "date": datetime.datetime.now(datetime.timezone.utc).isoformat(
                 timespec="seconds"),
-            "num_cpus": 1,
-            "mhz_per_cpu": 2100,
+            "num_cpus": os.cpu_count(),
             "build_type": "RelWithDebInfo",
         },
         "points": dict(sorted(points.items(), key=lambda kv: int(kv[0]))),

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 
 #include "common/logging.h"
@@ -247,6 +248,12 @@ Result<std::unique_ptr<SketchState>> QuantileSketch::Decode(Reader& r) {
   for (uint64_t i = 0; i < n; ++i) {
     SEAWEED_ASSIGN_OR_RETURN(double v, r.GetDouble());
     SEAWEED_ASSIGN_OR_RETURN(double wt, r.GetDouble());
+    // Every point carries a finite value and a finite positive weight; a
+    // NaN or non-positive weight would finalize to a garbage quantile.
+    if (!std::isfinite(v) || !std::isfinite(wt) || !(wt > 0)) {
+      return Status::ParseError("quantile point must be finite with "
+                                "positive weight");
+    }
     out->pts_.emplace_back(v, wt);
   }
   return {std::move(out)};
@@ -381,6 +388,9 @@ Result<std::unique_ptr<SketchState>> TopKSketch::Decode(Reader& r) {
   for (uint64_t i = 0; i < n; ++i) {
     SEAWEED_ASSIGN_OR_RETURN(Value k, Value::Decode(r));
     SEAWEED_ASSIGN_OR_RETURN(uint64_t c, r.GetVarint());
+    if (c > static_cast<uint64_t>(INT64_MAX)) {
+      return Status::ParseError("top-k count exceeds int64 range");
+    }
     out->counts_.emplace_back(std::move(k), static_cast<int64_t>(c));
   }
   // Keys must arrive sorted (the canonical encode order); reject rather

@@ -41,8 +41,6 @@ class EventLoop : public Scheduler {
   SimTime Now() const override;
   EventId At(SimTime when, EventFn fn) override;
   bool Cancel(EventId id) override;
-  // Defer: inherited default (apply immediately) — a single-threaded loop
-  // is always an exclusive context. LaneOfEndsystem: inherited 0.
 
   // --- Fd readiness ---
   using FdHandler = std::function<void(uint32_t revents)>;

@@ -7,12 +7,10 @@
 // word — no string lookup, no hashing, no allocation. Handles stay valid for
 // the registry's lifetime (instruments are heap-held behind the name map).
 //
-// Thread model (parallel simulator lanes, see sim/simulator.h): recording
-// operations are commutative — relaxed atomic adds plus CAS min/max — so
-// concurrent lanes produce the same final values regardless of interleaving,
-// which keeps multi-thread runs byte-identical to single-thread runs.
-// Readers (export, reports) run in exclusive contexts: no lane is executing,
-// so plain loads observe the settled values.
+// Thread model: recording operations are commutative — relaxed atomic adds
+// plus CAS min/max — so concurrent recorders produce the same final values
+// regardless of interleaving. Readers (export, reports) run when recording
+// has settled, so plain loads observe the final values.
 #pragma once
 
 #include <array>
@@ -65,8 +63,8 @@ class Counter {
 };
 
 // Point-in-time level (queue depths, population counts). Set() is not
-// commutative, so levels must be Set from exclusive contexts only; Add() is
-// safe from any lane.
+// commutative, so levels must be Set from one thread at a time; Add() is
+// safe from any thread.
 class Gauge {
  public:
   void Set(int64_t v) {
@@ -179,8 +177,8 @@ class Timeseries {
 // Name -> instrument map. Get* registers on first use and returns the same
 // pointer thereafter; names are namespaced by convention ("sim.msgs_sent",
 // "bw.tx.pastry", ...). Separate namespaces per instrument kind. Get/Find
-// are mutex-protected (lanes may lazily resolve instruments); the snapshot
-// views are for exclusive contexts.
+// are mutex-protected (instruments may be resolved lazily from any thread);
+// the snapshot views are for settled registries.
 class MetricsRegistry {
  public:
   Counter* GetCounter(const std::string& name);

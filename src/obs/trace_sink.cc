@@ -1,47 +1,19 @@
 #include "obs/trace_sink.h"
 
-#include <algorithm>
-
-#include "common/lane.h"
-#include "common/logging.h"
-
 namespace seaweed::obs {
 
-TraceSink::TraceSink(size_t capacity)
-    : ring_capacity_(capacity > 0 ? capacity : 1) {
-  rings_.resize(1);
-  rings_[0].ring.resize(ring_capacity_);
-}
-
-void TraceSink::ConfigureLanes(int lanes) {
-  SEAWEED_CHECK_MSG(lanes >= 1, "TraceSink::ConfigureLanes: lanes >= 1");
-  SEAWEED_CHECK_MSG(started() == 0,
-                    "TraceSink::ConfigureLanes must precede all spans");
-  lane_mode_ = true;
-  rings_.clear();
-  rings_.resize(static_cast<size_t>(lanes) + 1);
-  for (LaneRing& r : rings_) r.ring.resize(ring_capacity_);
-}
+TraceSink::TraceSink(size_t capacity) : ring_(capacity > 0 ? capacity : 1) {}
 
 SpanId TraceSink::StartSpan(const char* name, uint64_t trace_key, SimTime now,
                             SpanId parent) {
   if (!enabled_) return kNoSpan;
-  size_t lane = 0;
-  if (lane_mode_) {
-    const int cur = CurrentExecLane();
-    lane = cur > 0 ? static_cast<size_t>(cur) : 0;
-  }
-  LaneRing& r = rings_[lane];
-  const uint64_t seq = ++r.started;
-  const SpanId id =
-      lane_mode_ ? ((static_cast<uint64_t>(lane) + 1) << kLaneShift) | seq
-                 : seq;
+  const SpanId id = ++started_;
   if (parent == kNoSpan) {
     std::lock_guard<std::mutex> lock(roots_mu_);
     auto [it, inserted] = roots_.emplace(trace_key, id);
     if (!inserted) parent = it->second;
   }
-  SpanRecord& rec = r.ring[(seq - 1) % r.ring.size()];
+  SpanRecord& rec = ring_[(id - 1) % ring_.size()];
   rec.id = id;
   rec.parent = parent;
   rec.trace = trace_key;
@@ -53,21 +25,9 @@ SpanId TraceSink::StartSpan(const char* name, uint64_t trace_key, SimTime now,
   return id;
 }
 
-const TraceSink::LaneRing* TraceSink::RingOf(SpanId id) const {
-  if (id == kNoSpan) return nullptr;
-  if (!lane_mode_) return &rings_[0];
-  const uint64_t tag = id >> kLaneShift;
-  if (tag == 0 || tag > rings_.size()) return nullptr;
-  return &rings_[tag - 1];
-}
-
 SpanRecord* TraceSink::Slot(SpanId id) {
-  const LaneRing* r = RingOf(id);
-  if (r == nullptr) return nullptr;
-  const uint64_t seq = lane_mode_ ? (id & kSeqMask) : id;
-  if (seq == 0 || seq > r->started) return nullptr;
-  SpanRecord& rec =
-      const_cast<LaneRing*>(r)->ring[(seq - 1) % r->ring.size()];
+  if (id == kNoSpan || id > started_) return nullptr;
+  SpanRecord& rec = ring_[(id - 1) % ring_.size()];
   return rec.id == id ? &rec : nullptr;  // id mismatch: overwritten
 }
 
@@ -91,67 +51,15 @@ SpanId TraceSink::RootOf(uint64_t trace_key) const {
   return it == roots_.end() ? kNoSpan : it->second;
 }
 
-uint64_t TraceSink::started() const {
-  uint64_t total = 0;
-  for (const LaneRing& r : rings_) total += r.started;
-  return total;
-}
-
-uint64_t TraceSink::dropped() const {
-  uint64_t total = 0;
-  for (const LaneRing& r : rings_) {
-    if (r.started > r.ring.size()) total += r.started - r.ring.size();
-  }
-  return total;
-}
-
-size_t TraceSink::size() const {
-  size_t total = 0;
-  for (const LaneRing& r : rings_) {
-    total += r.started < r.ring.size() ? static_cast<size_t>(r.started)
-                                       : r.ring.size();
-  }
-  return total;
-}
-
-size_t TraceSink::capacity() const {
-  return ring_capacity_ * rings_.size();
-}
-
 const SpanRecord* TraceSink::Find(SpanId id) const {
   return const_cast<TraceSink*>(this)->Slot(id);
 }
 
 void TraceSink::ForEach(
     const std::function<void(const SpanRecord&)>& fn) const {
-  if (!lane_mode_) {
-    const LaneRing& r = rings_[0];
-    SpanId first = r.started > r.ring.size() ? r.started - r.ring.size() + 1
-                                             : 1;
-    for (SpanId id = first; id <= r.started; ++id) {
-      if (const SpanRecord* rec = Find(id)) fn(*rec);
-    }
-    return;
+  for (SpanId id = dropped() + 1; id <= started_; ++id) {
+    if (const SpanRecord* rec = Find(id)) fn(*rec);
   }
-  // Lane mode: merge all rings in (start, id) order. Ids embed (lane, seq),
-  // both deterministic, so the merged order is thread-count independent.
-  std::vector<const SpanRecord*> all;
-  all.reserve(size());
-  for (size_t lane = 0; lane < rings_.size(); ++lane) {
-    const LaneRing& r = rings_[lane];
-    const uint64_t first =
-        r.started > r.ring.size() ? r.started - r.ring.size() + 1 : 1;
-    for (uint64_t seq = first; seq <= r.started; ++seq) {
-      const SpanId id = ((static_cast<uint64_t>(lane) + 1) << kLaneShift) | seq;
-      if (const SpanRecord* rec = Find(id)) all.push_back(rec);
-    }
-  }
-  std::sort(all.begin(), all.end(),
-            [](const SpanRecord* a, const SpanRecord* b) {
-              if (a->start != b->start) return a->start < b->start;
-              return a->id < b->id;
-            });
-  for (const SpanRecord* rec : all) fn(*rec);
 }
 
 }  // namespace seaweed::obs

@@ -1,4 +1,4 @@
-// Query-lifecycle tracing: span records in fixed-capacity ring buffers.
+// Query-lifecycle tracing: span records in a fixed-capacity ring buffer.
 //
 // A span is one step of a query's lifecycle (disseminate, metadata lookup,
 // predictor merge, aggregation round, result delivery) with simulated start
@@ -12,15 +12,7 @@
 // span started for a trace key becomes the trace's root, and later spans
 // started without an explicit parent attach to it — components deep in the
 // stack can record lifecycle steps without threading span ids through the
-// simulated network.
-//
-// Parallel lanes (sim/simulator.h): after ConfigureLanes, each lane appends
-// to its own ring and span ids embed the lane, so concurrent lanes never
-// touch the same record. Only the root map is shared (mutex-protected); root
-// identity stays deterministic because a trace's root span is always started
-// in an exclusive context (query injection) before any lane records child
-// spans for it. Without ConfigureLanes the sink is the classic single-ring
-// sink with dense ids.
+// simulated network. Span ids are the dense per-sink start sequence.
 #pragma once
 
 #include <cstdint>
@@ -62,11 +54,6 @@ class TraceSink {
  public:
   explicit TraceSink(size_t capacity = 1 << 15);
 
-  // Switches to lane mode with rings for the control lane plus `lanes`
-  // topology lanes, each of the constructor capacity. Must be called before
-  // any span is started.
-  void ConfigureLanes(int lanes);
-
   // Starts a span in trace `trace_key` at simulated time `now`. With
   // parent == kNoSpan the span attaches to the trace's root (or becomes it).
   // Returns kNoSpan when the sink is disabled.
@@ -83,37 +70,28 @@ class TraceSink {
   SpanId RootOf(uint64_t trace_key) const;
 
   // Total spans ever started / overwritten by ring wrap-around.
-  uint64_t started() const;
-  uint64_t dropped() const;
-  // Spans currently retained across all rings.
-  size_t size() const;
-  size_t capacity() const;
+  uint64_t started() const { return started_; }
+  uint64_t dropped() const {
+    return started_ > ring_.size() ? started_ - ring_.size() : 0;
+  }
+  // Spans currently retained in the ring.
+  size_t size() const {
+    return started_ < ring_.size() ? static_cast<size_t>(started_)
+                                   : ring_.size();
+  }
+  size_t capacity() const { return ring_.size(); }
 
   // nullptr if the span was overwritten (or never existed). The pointer is
-  // invalidated by the next StartSpan on the same lane.
+  // invalidated by the next StartSpan.
   const SpanRecord* Find(SpanId id) const;
-  // Visits retained spans in deterministic order: start order in the classic
-  // single-ring mode, (start time, id) order in lane mode.
+  // Visits retained spans in start order.
   void ForEach(const std::function<void(const SpanRecord&)>& fn) const;
 
  private:
-  // Span ids in lane mode: ((lane + 1) << 48) | per-lane sequence. In the
-  // classic mode ids are the dense per-sink sequence (lane tag 0), keeping
-  // single-threaded trace output identical to the historical format.
-  static constexpr int kLaneShift = 48;
-  static constexpr uint64_t kSeqMask = (1ull << kLaneShift) - 1;
-
-  struct LaneRing {
-    std::vector<SpanRecord> ring;
-    uint64_t started = 0;  // per-lane sequence; ids are 1..started
-  };
-
   SpanRecord* Slot(SpanId id);
-  const LaneRing* RingOf(SpanId id) const;
 
-  size_t ring_capacity_;
-  bool lane_mode_ = false;
-  std::vector<LaneRing> rings_;  // [0] control/exclusive, [1..K] lanes
+  std::vector<SpanRecord> ring_;
+  uint64_t started_ = 0;  // ids are 1..started_
   mutable std::mutex roots_mu_;
   std::unordered_map<uint64_t, SpanId> roots_;
   bool enabled_ = true;

@@ -1,6 +1,5 @@
 #include "overlay/overlay_network.h"
 
-#include "common/lane.h"
 #include "common/logging.h"
 
 namespace seaweed::overlay {
@@ -65,15 +64,6 @@ void OverlayNetwork::SendPacket(EndsystemIndex from, EndsystemIndex to,
   network_->Send(from, to, pkt->category, pkt);
 }
 
-void OverlayNetwork::HeartbeatArrived(const NodeHandle& from,
-                                      EndsystemIndex to) {
-  constexpr uint32_t kHeartbeatBytes =
-      1 + kNodeHandleBytes + kMessageHeaderBytes;
-  network_->meter()->RecordRx(to, TrafficCategory::kPastry, sim_->Now(),
-                              kHeartbeatBytes);
-  nodes_[to]->NoteHeartbeat(from);
-}
-
 void OverlayNetwork::FastHeartbeat(const NodeHandle& from,
                                    const NodeHandle& to) {
   // Minimal heartbeat: kind + src handle.
@@ -95,37 +85,18 @@ void OverlayNetwork::FastHeartbeat(const NodeHandle& from,
                               sim_->Now(), kHeartbeatBytes);
   // Linked (not IsUp): an injected partition must starve heartbeats exactly
   // like a real link cut, so failure detection fires on both sides.
-  const int cur = CurrentExecLane();
-  if (cur <= 0 || cur == sim_->LaneOfEndsystem(to.address)) {
-    // Receiver state lives in this context: synchronous fast path.
-    if (network_->Linked(from.address, to.address)) {
-      HeartbeatArrived(from, to.address);
-    }
-    return;
+  if (network_->Linked(from.address, to.address)) {
+    network_->meter()->RecordRx(to.address, TrafficCategory::kPastry,
+                                sim_->Now(), kHeartbeatBytes);
+    nodes_[to.address]->NoteHeartbeat(from);
   }
-  // Cross-lane heartbeat: the receiver's bookkeeping belongs to another
-  // lane, so pack the handle into a POD effect applied at the window
-  // barrier. Linked is re-checked there (exclusive context, live tables).
-  sim_->Defer(DeferEffect{
-      [](void* ctx, uint64_t a, uint64_t b, uint64_t c, uint64_t) {
-        auto* self = static_cast<OverlayNetwork*>(ctx);
-        NodeHandle sender{NodeId(a, b),
-                          static_cast<EndsystemIndex>(c >> 32)};
-        auto to_e = static_cast<EndsystemIndex>(c & 0xffffffffu);
-        if (self->network_->Linked(sender.address, to_e)) {
-          self->HeartbeatArrived(sender, to_e);
-        }
-      },
-      this, from.id.hi(), from.id.lo(),
-      (static_cast<uint64_t>(from.address) << 32) | to.address});
 }
 
 std::optional<NodeHandle> OverlayNetwork::PickBootstrap(
     EndsystemIndex joiner) {
   // A real deployment would use a configured contact list; the simulator
   // picks a random member of the dense joined list (excluding the joiner).
-  // The draw is counter-hashed per (joiner, attempt) so it does not depend
-  // on how joins interleave across lanes.
+  // The draw is counter-hashed per (joiner, attempt).
   const size_t n = joined_list_.size();
   if (n == 0) {
     // Live mode: no locally-hosted member is joined yet, so fall back to
@@ -155,17 +126,6 @@ std::optional<NodeHandle> OverlayNetwork::PickBootstrap(
 }
 
 void OverlayNetwork::OnJoinedChanged(EndsystemIndex e, bool member) {
-  // Applied at the barrier (immediately when exclusive): cross-lane readers
-  // of the joined list always see a window-stable snapshot.
-  sim_->Defer(DeferEffect{
-      [](void* ctx, uint64_t a, uint64_t b, uint64_t, uint64_t) {
-        static_cast<OverlayNetwork*>(ctx)->ApplyJoinedChange(
-            static_cast<EndsystemIndex>(a), b != 0);
-      },
-      this, e, member ? 1u : 0u});
-}
-
-void OverlayNetwork::ApplyJoinedChange(EndsystemIndex e, bool member) {
   uint32_t pos = joined_pos_[e];
   if (member) {
     if (pos != kNotJoined) return;

@@ -6,14 +6,12 @@
 // ground-truth helpers used by tests; the protocols themselves exchange real
 // (bandwidth-charged) messages.
 //
-// Scale + lane safety: the joined-membership set is a dense swap-remove
-// vector maintained via deferred (barrier-applied) updates, so PickBootstrap
-// is O(1) instead of an O(N) scan — the scan made million-node runs O(N^2)
-// through the periodic global-stabilize probes. Bootstrap draws are
-// counter-hashed per (joiner, attempt), independent of event interleaving.
-// A cross-lane heartbeat defers its receiver-side bookkeeping to the window
-// barrier (packed in a POD DeferEffect); same-lane and serial-mode
-// heartbeats keep the synchronous fast path.
+// Scale: the joined-membership set is a dense swap-remove vector, so
+// PickBootstrap is O(1) instead of an O(N) scan — the scan made
+// million-node runs O(N^2) through the periodic global-stabilize probes.
+// Bootstrap draws are counter-hashed per (joiner, attempt). Heartbeats to a
+// locally hosted node update its liveness bookkeeping synchronously, with
+// no per-message event.
 #pragma once
 
 #include <atomic>
@@ -65,10 +63,8 @@ class OverlayNetwork {
   void SendPacket(EndsystemIndex from, EndsystemIndex to,
                   const std::shared_ptr<Packet>& pkt);
   // Heartbeat fast path: charges bandwidth for one heartbeat message from
-  // `from` to `to` and, if `to` is up, updates its liveness bookkeeping —
-  // synchronously when `to` runs in the caller's lane (or serial mode),
-  // otherwise deferred to the window barrier (no per-message event either
-  // way).
+  // `from` to `to` and, if `to` is reachable, updates its liveness
+  // bookkeeping synchronously (no per-message event).
   void FastHeartbeat(const NodeHandle& from, const NodeHandle& to);
   std::optional<NodeHandle> PickBootstrap(EndsystemIndex joiner);
   // Configures well-known bootstrap contacts for live deployments, where the
@@ -78,8 +74,8 @@ class OverlayNetwork {
   void SetStaticBootstraps(std::vector<NodeHandle> contacts) {
     static_bootstraps_ = std::move(contacts);
   }
-  // A node's membership (up && joined) changed. Applied to the dense joined
-  // list at the window barrier (immediately in exclusive contexts).
+  // A node's membership (up && joined) changed; updates the dense joined
+  // list (idempotent).
   void OnJoinedChanged(EndsystemIndex e, bool member);
 
   // --- Ground truth helpers (tests / statistics only) ---
@@ -100,10 +96,6 @@ class OverlayNetwork {
  private:
   void OnDelivery(EndsystemIndex to, EndsystemIndex from,
                   WireMessagePtr payload);
-  // Barrier-context application of a membership change (idempotent).
-  void ApplyJoinedChange(EndsystemIndex e, bool member);
-  // Receiver-side half of a heartbeat (rx charge + liveness bookkeeping).
-  void HeartbeatArrived(const NodeHandle& from, EndsystemIndex to);
 
   static constexpr uint32_t kNotJoined = 0xffffffffu;
 
@@ -115,10 +107,10 @@ class OverlayNetwork {
   std::vector<std::unique_ptr<PastryNode>> nodes_;
   // Dense membership set: joined_list_ holds the addresses of all up &&
   // joined nodes (swap-remove order); joined_pos_[e] is e's index in it or
-  // kNotJoined. Mutated only in exclusive contexts (barrier/serial).
+  // kNotJoined.
   std::vector<EndsystemIndex> joined_list_;
   std::vector<uint32_t> joined_pos_;
-  // Per-joiner bootstrap draw counter (touched from the joiner's lane only).
+  // Per-joiner bootstrap draw counter.
   std::vector<uint32_t> boot_seq_;
   // Live-mode contact points (empty in simulation).
   std::vector<NodeHandle> static_bootstraps_;

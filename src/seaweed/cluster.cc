@@ -38,17 +38,6 @@ SeaweedCluster::SeaweedCluster(const ClusterConfig& config,
 }
 
 void SeaweedCluster::Construct(std::shared_ptr<DataProvider> data) {
-  // Lane wiring must precede any event scheduling: the lane plan decides
-  // which queue every endsystem's events land on.
-  if (config_.lanes > 0) {
-    Topology::LanePlan plan = topology_.ComputeLanePlan(config_.lanes);
-    sim_.ConfigureLanes(plan.num_lanes, plan.lookahead);
-    sim_.SetEndsystemLanes(std::move(plan.lane_of));
-    sim_.SetThreads(config_.threads);
-    obs_.trace.ConfigureLanes(plan.num_lanes);
-  }
-  if (config_.encode_in_flight) network_.SetEncodeInFlight(true);
-
   queue_depth_gauge_ = obs_.metrics.GetGauge("sim.event_queue_depth");
   online_gauge_ = obs_.metrics.GetGauge("sim.online_endsystems");
   data_ = std::move(data);
@@ -182,30 +171,6 @@ void SeaweedCluster::AccumulateOnline(SimTime now) {
 }
 
 void SeaweedCluster::PublishStatsGauges() {
-  uint64_t min_depth = UINT64_MAX;
-  uint64_t max_depth = 0;
-  for (int q = 0; q < sim_.num_queues(); ++q) {
-    const std::string prefix = "sim.lane." + std::to_string(q);
-    const EventQueue::Stats& st = sim_.QueueStats(q);
-    const uint64_t depth = sim_.QueueDepth(q);
-    obs_.metrics.GetGauge(prefix + ".depth")
-        ->Set(static_cast<int64_t>(depth));
-    obs_.metrics.GetGauge(prefix + ".scheduled")
-        ->Set(static_cast<int64_t>(st.scheduled));
-    obs_.metrics.GetGauge(prefix + ".executed")
-        ->Set(static_cast<int64_t>(st.executed));
-    obs_.metrics.GetGauge(prefix + ".cancelled")
-        ->Set(static_cast<int64_t>(st.cancelled));
-    if (q >= 1) {  // skew is over topology lanes, not the control queue
-      min_depth = std::min(min_depth, depth);
-      max_depth = std::max(max_depth, depth);
-    }
-  }
-  obs_.metrics.GetGauge("sim.lane.max_skew")
-      ->Set(max_depth >= min_depth
-                ? static_cast<int64_t>(max_depth - min_depth)
-                : 0);
-
   obs_.metrics.GetGauge("mem.overlay.routing_bytes")
       ->Set(static_cast<int64_t>(overlay_->ApproxRoutingBytes()));
   uint64_t meta_bytes = 0;
@@ -218,8 +183,6 @@ void SeaweedCluster::PublishStatsGauges() {
       ->Set(static_cast<int64_t>(meta_bytes));
   obs_.metrics.GetGauge("mem.meta.store_records")
       ->Set(static_cast<int64_t>(meta_records));
-  obs_.metrics.GetGauge("mem.net.inflight_bytes")
-      ->Set(static_cast<int64_t>(network_.inflight_bytes()));
   obs_.metrics.GetGauge("mem.sim.event_queue_bytes")
       ->Set(static_cast<int64_t>(sim_.ApproxQueueBytes()));
 }
@@ -228,8 +191,7 @@ void SeaweedCluster::DriveFromTrace(const AvailabilityTrace& trace,
                                     SimTime until) {
   SEAWEED_CHECK(trace.num_endsystems() >= config_.num_endsystems);
   const SimTime now = sim_.Now();
-  // Hourly engine/memory gauge snapshots on the control queue (Gauge::Set
-  // requires an exclusive context). Bounded by `until` so runs that drain
+  // Hourly memory gauge snapshots. Bounded by `until` so runs that drain
   // the schedule to completion still terminate.
   for (SimTime t = ((now / kHour) + 1) * kHour; t < until; t += kHour) {
     sim_.At(t, [this] { PublishStatsGauges(); });

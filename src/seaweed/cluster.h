@@ -46,18 +46,6 @@ struct ClusterConfig {
   // it; crash epochs are scheduled regardless of the transport spec.
   FaultPlan fault_plan;
   uint64_t seed = 1;
-  // Parallel-lane simulation (see sim/simulator.h). 0 = classic serial
-  // engine. N > 0 partitions endsystems into up to N event lanes along
-  // topology core groups (Topology::ComputeLanePlan); results depend only
-  // on the lane count, never on the thread count.
-  int lanes = 0;
-  // Worker threads executing lane windows (>= 1). Requires lanes > 0 to
-  // have any effect; byte-identical output for any value.
-  int threads = 1;
-  // Store in-flight messages as encoded wire bytes instead of live message
-  // objects (Network::SetEncodeInFlight): flat storage for queued traffic,
-  // essential at 10^5+ endsystems.
-  bool encode_in_flight = false;
 };
 
 class ClusterOptions;
@@ -121,11 +109,10 @@ class SeaweedCluster {
   // traffic category (or all categories with cat < 0).
   double MeanTxPerOnline(int64_t h0, int64_t h1, int cat = -1) const;
 
-  // Publishes the simulation-engine and memory-footprint gauges:
-  // sim.lane.<q>.{depth,scheduled,executed,cancelled}, sim.lane.max_skew,
-  // and mem.{overlay.routing,meta.store,net.inflight,sim.event_queue}_bytes.
-  // Called hourly during DriveFromTrace runs and callable from benches
-  // before snapshotting; must run in an exclusive (non-lane) context.
+  // Publishes the memory-footprint gauges:
+  // mem.{overlay.routing,meta.store,sim.event_queue}_bytes and
+  // mem.meta.store_records. Called hourly during DriveFromTrace runs and
+  // callable from benches before snapshotting.
   void PublishStatsGauges();
 
  private:

@@ -67,15 +67,6 @@ Result<ClusterConfig> ClusterOptions::Build() const {
       c.topology.branches_per_region < 1) {
     return Bad("topology router counts must be >= 1");
   }
-  if (c.lanes < 0 || c.lanes > 255) {
-    return Bad("lanes must be in [0, 255]");
-  }
-  if (c.threads < 1) {
-    return Bad("threads must be >= 1");
-  }
-  if (c.threads > 1 && c.lanes == 0) {
-    return Bad("threads > 1 requires lanes > 0 (serial engine)");
-  }
 
   auto layers = ParseTransportSpec(c.transport);
   if (!layers.ok()) {

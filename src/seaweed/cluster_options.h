@@ -75,22 +75,6 @@ class ClusterOptions {
     config_.fault_plan = std::move(plan);
     return *this;
   }
-  // Parallel event lanes (0 = classic serial engine). Results depend only
-  // on the lane count, never on the thread count.
-  ClusterOptions& WithLanes(int lanes) {
-    config_.lanes = lanes;
-    return *this;
-  }
-  ClusterOptions& WithThreads(int threads) {
-    config_.threads = threads;
-    return *this;
-  }
-  // Keep in-flight messages as encoded wire bytes (memory compaction for
-  // large-N runs).
-  ClusterOptions& WithEncodeInFlight(bool on) {
-    config_.encode_in_flight = on;
-    return *this;
-  }
 
   // --- Mutable access to nested configs (tweak-in-place) ---
   overlay::PastryConfig& pastry() { return config_.pastry; }

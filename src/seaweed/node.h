@@ -423,7 +423,7 @@ class SeaweedNode : public overlay::PastryApp {
   MetadataStore metadata_;
   std::map<NodeId, ActiveQuery> active_;
   // Batching outboxes, keyed by contact id (std::map for deterministic
-  // flush-callback content regardless of lane interleaving).
+  // flush-callback content).
   std::map<NodeId, Outbox> outboxes_;
   // Predictor cache keyed by (range token, query fingerprint).
   std::map<std::pair<std::string, std::string>, CachedPredictor>

@@ -95,9 +95,9 @@ class BandwidthMeter {
                                     int64_t last_hour) const;
 
  private:
-  // Lane safety: a PerEndsystem slot is only touched from its endsystem's
-  // lane (tx on send, rx on delivery) or from exclusive contexts, so the
-  // per-hour vectors need no synchronization; only max_hour_ is shared.
+  // A PerEndsystem slot is only touched by its endsystem's own sends and
+  // deliveries, so the per-hour vectors need no synchronization; only
+  // max_hour_ is shared.
   struct PerEndsystem {
     std::vector<uint32_t> tx_by_hour;
     std::vector<uint32_t> rx_by_hour;

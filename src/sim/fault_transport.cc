@@ -41,7 +41,7 @@ bool FaultInjectingTransport::Send(EndsystemIndex from, EndsystemIndex to,
   }
 
   // One counter-hash generator per message: decisions depend only on
-  // (sender, sequence), never on cross-lane draw interleaving.
+  // (sender, sequence), never on draw interleaving.
   Rng msg_rng(MixSeed(stream_seed_, from, tx_seq_[from]++));
 
   const double loss = plan_.LossAt(now);

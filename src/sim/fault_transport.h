@@ -15,7 +15,7 @@
 // Randomness is counter-hashed per (sender, sequence): each message seeds a
 // local Rng from MixSeed(plan seed ^ salt, from, seq) rather than drawing
 // from one shared generator, so fault decisions are independent of event
-// interleaving across parallel simulator lanes.
+// interleaving.
 #pragma once
 
 #include <atomic>
@@ -58,7 +58,7 @@ class FaultInjectingTransport : public TransportDecorator {
 
   FaultPlan plan_;
   uint64_t stream_seed_;
-  // Per-sender message sequence; slot touched only from the sender's lane.
+  // Per-sender message sequence.
   std::vector<uint32_t> tx_seq_;
   obs::Counter* burst_drops_metric_;
   obs::Counter* partition_drops_metric_;

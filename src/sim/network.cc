@@ -1,6 +1,5 @@
 #include "sim/network.h"
 
-#include "common/lane.h"
 #include "common/logging.h"
 
 namespace seaweed {
@@ -15,8 +14,7 @@ Network::Network(Simulator* sim, const Topology* topology,
       loss_rate_(loss_rate),
       loss_seed_(seed),
       tx_seq_(static_cast<size_t>(topology->num_endsystems()), 0),
-      up_(static_cast<size_t>(topology->num_endsystems()), 0),
-      up_pub_(static_cast<size_t>(topology->num_endsystems()), 0) {
+      up_(static_cast<size_t>(topology->num_endsystems()), 0) {
   msgs_sent_metric_ = obs_->metrics.GetCounter("sim.msgs_sent");
   msgs_delivered_metric_ = obs_->metrics.GetCounter("sim.msgs_delivered");
   msgs_lost_metric_ = obs_->metrics.GetCounter("sim.msgs_lost");
@@ -31,31 +29,7 @@ void Network::SetUniformDeliveryHandler(UniformDeliveryHandler handler) {
   uniform_handler_ = std::move(handler);
 }
 
-bool Network::UpSeen(EndsystemIndex e) const {
-  const int cur = CurrentExecLane();
-  if (cur <= 0 || cur == sim_->LaneOfEndsystem(e)) return up_[e] != 0;
-  return up_pub_[e] != 0;
-}
-
-void Network::SetUp(EndsystemIndex e, bool up) {
-  SEAWEED_DCHECK(CurrentExecLane() <= 0 ||
-                 CurrentExecLane() == sim_->LaneOfEndsystem(e));
-  up_[e] = up ? 1 : 0;
-  // Republish the snapshot at the barrier (immediately when exclusive).
-  sim_->Defer(DeferEffect{
-      [](void* ctx, uint64_t a, uint64_t b, uint64_t, uint64_t) {
-        static_cast<Network*>(ctx)->up_pub_[a] = static_cast<uint8_t>(b);
-      },
-      this, e, up ? 1u : 0u});
-}
-
-WireMessagePtr Network::DecodeInFlight(const std::vector<uint8_t>& encoded) {
-  Reader r(encoded);
-  Result<WireMessagePtr> decoded = DecodeWireMessage(r);
-  SEAWEED_CHECK_MSG(decoded.ok(),
-                    "in-flight decode failed: " + decoded.status().ToString());
-  return std::move(decoded).value();
-}
+void Network::SetUp(EndsystemIndex e, bool up) { up_[e] = up ? 1 : 0; }
 
 void Network::Dispatch(EndsystemIndex from, EndsystemIndex to,
                        WireMessagePtr msg) {
@@ -70,39 +44,32 @@ void Network::Dispatch(EndsystemIndex from, EndsystemIndex to,
 
 void Network::Deliver(EndsystemIndex from, EndsystemIndex to,
                       TrafficCategory cat, uint32_t wire_bytes,
-                      WireMessagePtr msg, std::vector<uint8_t> encoded) {
-  if (encode_in_flight_) {
-    inflight_bytes_.fetch_sub(encoded.capacity(), std::memory_order_relaxed);
-  }
-  if (!up_[to]) {  // delivery runs in `to`'s lane: live read
+                      WireMessagePtr msg) {
+  if (!up_[to]) {
     messages_lost_.fetch_add(1, std::memory_order_relaxed);
     msgs_lost_metric_->Add();
-    if (drop_handler_ && UpSeen(from)) {
+    if (drop_handler_ && up_[from]) {
       // Per-hop failure detection: the sender's retransmission timeout
-      // fires and it learns the next hop is dead. Runs in the sender's
-      // lane; the notice delay (>= any lookahead) keeps it mailbox-safe.
-      if (msg == nullptr) msg = DecodeInFlight(encoded);
-      sim_->AtLane(sim_->LaneOfEndsystem(from),
-                   sim_->Now() + drop_notice_delay_,
-                   [this, from, to, msg = std::move(msg)]() mutable {
-                     if (up_[from] && drop_handler_) {
-                       drop_handler_(from, to, std::move(msg));
-                     }
-                   });
+      // fires and it learns the next hop is dead.
+      sim_->After(drop_notice_delay_,
+                  [this, from, to, msg = std::move(msg)]() mutable {
+                    if (up_[from] && drop_handler_) {
+                      drop_handler_(from, to, std::move(msg));
+                    }
+                  });
     }
     return;
   }
   meter_->RecordRx(to, cat, sim_->Now(), wire_bytes);
   messages_delivered_.fetch_add(1, std::memory_order_relaxed);
   msgs_delivered_metric_->Add();
-  if (msg == nullptr) msg = DecodeInFlight(encoded);
   Dispatch(from, to, std::move(msg));
 }
 
 bool Network::Send(EndsystemIndex from, EndsystemIndex to,
                    TrafficCategory cat, WireMessagePtr msg) {
   SEAWEED_CHECK_MSG(msg != nullptr, "Network::Send requires a message");
-  if (!up_[from]) return false;  // send runs in `from`'s lane: live read
+  if (!up_[from]) return false;
   const uint32_t wire_bytes = msg->WireBytes() + kMessageHeaderBytes;
   meter_->RecordTx(from, cat, sim_->Now(), wire_bytes);
   messages_sent_.fetch_add(1, std::memory_order_relaxed);
@@ -121,25 +88,10 @@ bool Network::Send(EndsystemIndex from, EndsystemIndex to,
 
   const SimDuration delay = topology_->Delay(from, to);
   const SimTime arrive = sim_->Now() + delay;
-  const int to_lane = sim_->LaneOfEndsystem(to);
-  if (encode_in_flight_) {
-    Writer w;
-    msg->Encode(w);
-    std::vector<uint8_t> encoded = w.bytes();
-    inflight_bytes_.fetch_add(encoded.capacity(), std::memory_order_relaxed);
-    sim_->AtLane(to_lane, arrive,
-                 [this, from, to, cat, wire_bytes,
-                  encoded = std::move(encoded)]() mutable {
-                   Deliver(from, to, cat, wire_bytes, nullptr,
-                           std::move(encoded));
-                 });
-  } else {
-    sim_->AtLane(to_lane, arrive,
-                 [this, from, to, cat, wire_bytes,
-                  msg = std::move(msg)]() mutable {
-                   Deliver(from, to, cat, wire_bytes, std::move(msg), {});
-                 });
-  }
+  sim_->At(arrive, [this, from, to, cat, wire_bytes,
+                    msg = std::move(msg)]() mutable {
+    Deliver(from, to, cat, wire_bytes, std::move(msg));
+  });
   return true;
 }
 

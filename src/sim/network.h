@@ -6,16 +6,7 @@
 // sends it initiates, matching a real lossy datagram network). Messages are
 // passed by pointer — the wire codec is exercised separately by
 // SerializingTransport — but every charged byte count comes from the
-// message's encoder via WireMessage::WireBytes(). With SetEncodeInFlight,
-// in-flight messages are instead held as encoded bytes (flat storage, PR 3
-// codec) and decoded at delivery, trading CPU for queue memory at scale.
-//
-// Lane safety (see sim/simulator.h): a delivery event runs in the receiving
-// endsystem's lane and the drop-notice event in the sender's lane, so every
-// handler runs where its state lives. The up/down table is double-buffered:
-// writes land in the live table (owner lane) and are republished to a
-// snapshot at the window barrier; cross-lane readers (the heartbeat Linked
-// fast path) see the snapshot, keeping reads deterministic. Loss draws use
+// message's encoder via WireMessage::WireBytes(). Loss draws use
 // counter-hash seeds per (sender, sequence) so they are independent of event
 // interleaving.
 #pragma once
@@ -39,7 +30,7 @@ class Network : public Transport {
   void SetUniformDeliveryHandler(UniformDeliveryHandler handler) override;
 
   void SetUp(EndsystemIndex e, bool up) override;
-  bool IsUp(EndsystemIndex e) const override { return UpSeen(e); }
+  bool IsUp(EndsystemIndex e) const override { return up_[e] != 0; }
 
   bool Send(EndsystemIndex from, EndsystemIndex to, TrafficCategory cat,
             WireMessagePtr msg) override;
@@ -48,13 +39,6 @@ class Network : public Transport {
                       SimDuration drop_notice_delay) override {
     drop_handler_ = std::move(handler);
     drop_notice_delay_ = drop_notice_delay;
-  }
-
-  // Stores in-flight messages as encoded bytes instead of live objects.
-  void SetEncodeInFlight(bool on) { encode_in_flight_ = on; }
-  // Bytes currently held for encoded in-flight messages.
-  uint64_t inflight_bytes() const {
-    return inflight_bytes_.load(std::memory_order_relaxed);
   }
 
   uint64_t messages_sent() const override {
@@ -73,14 +57,9 @@ class Network : public Transport {
   obs::Observability* obs() const override { return obs_; }
 
  private:
-  // Up/down as seen by the calling context: the live table from the owning
-  // lane or an exclusive context, the barrier snapshot across lanes.
-  bool UpSeen(EndsystemIndex e) const;
   void Deliver(EndsystemIndex from, EndsystemIndex to, TrafficCategory cat,
-               uint32_t wire_bytes, WireMessagePtr msg,
-               std::vector<uint8_t> encoded);
+               uint32_t wire_bytes, WireMessagePtr msg);
   void Dispatch(EndsystemIndex from, EndsystemIndex to, WireMessagePtr msg);
-  static WireMessagePtr DecodeInFlight(const std::vector<uint8_t>& encoded);
 
   Simulator* sim_;
   const Topology* topology_;
@@ -91,16 +70,12 @@ class Network : public Transport {
   obs::Counter* msgs_lost_metric_;
   double loss_rate_;
   uint64_t loss_seed_;
-  std::vector<uint32_t> tx_seq_;  // per-sender send sequence (owner lane)
+  std::vector<uint32_t> tx_seq_;  // per-sender send sequence
   std::vector<DeliveryHandler> handlers_;  // sized lazily; usually empty
   UniformDeliveryHandler uniform_handler_;
   DropHandler drop_handler_;
   SimDuration drop_notice_delay_ = kSecond;
-  // uint8_t, not vector<bool>: lanes write distinct slots concurrently.
-  std::vector<uint8_t> up_;      // live, owner-lane writes
-  std::vector<uint8_t> up_pub_;  // snapshot republished at window barriers
-  bool encode_in_flight_ = false;
-  std::atomic<uint64_t> inflight_bytes_{0};
+  std::vector<uint8_t> up_;
   std::atomic<uint64_t> messages_sent_{0};
   std::atomic<uint64_t> messages_delivered_{0};
   std::atomic<uint64_t> messages_lost_{0};

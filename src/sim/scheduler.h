@@ -19,17 +19,6 @@
 
 namespace seaweed {
 
-// A deferred cross-lane effect: plain-old-data payload plus an apply
-// function, buffered per lane during a window and applied at the barrier.
-// POD (no allocation, no destructor) because hot paths — e.g. cross-lane
-// heartbeats, of which a million-endsystem run produces ~10^8 — defer one of
-// these per occurrence.
-struct DeferEffect {
-  void (*fn)(void* ctx, uint64_t a, uint64_t b, uint64_t c, uint64_t d);
-  void* ctx;
-  uint64_t a = 0, b = 0, c = 0, d = 0;
-};
-
 class Scheduler {
  public:
   virtual ~Scheduler() = default;
@@ -50,20 +39,6 @@ class Scheduler {
   // Cancels a pending event. Returns false if it already fired or the id is
   // stale.
   virtual bool Cancel(EventId id) = 0;
-
-  // Applies `effect` now, or — in the laned simulator — at the current
-  // window's barrier. Single-threaded schedulers are always an exclusive
-  // context, so the default applies immediately.
-  virtual void Defer(const DeferEffect& effect) {
-    effect.fn(effect.ctx, effect.a, effect.b, effect.c, effect.d);
-  }
-
-  // The event lane an endsystem's callbacks run on (laned simulator only);
-  // 0 everywhere else.
-  virtual int LaneOfEndsystem(size_t e) const {
-    (void)e;
-    return 0;
-  }
 };
 
 }  // namespace seaweed

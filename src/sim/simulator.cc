@@ -1,280 +1,25 @@
 #include "sim/simulator.h"
 
-#include <algorithm>
-
 namespace seaweed {
 
-namespace {
-
-constexpr uint64_t kLaneShift = 56;
-constexpr uint64_t kQueueIdMask = (1ull << kLaneShift) - 1;
-
-SimTime SaturatingAdd(SimTime t, SimDuration d) {
-  if (t > kSimTimeMax - d) return kSimTimeMax;
-  return t + d;
-}
-
-}  // namespace
-
-Simulator::Simulator() {
-  queues_.emplace_back();
-  lane_now_.assign(1, 0);
-}
-
-Simulator::~Simulator() { StopWorkers(); }
-
-void Simulator::ConfigureLanes(int lanes, SimDuration lookahead) {
-  SEAWEED_CHECK_MSG(lanes >= 1 && lanes <= 255,
-                    "ConfigureLanes: lanes must be in [1, 255]");
-  SEAWEED_CHECK_MSG(lookahead > 0, "ConfigureLanes: lookahead must be > 0");
-  SEAWEED_CHECK_MSG(pending_events() == 0 && events_executed() == 0,
-                    "ConfigureLanes must precede all scheduling");
-  num_lanes_ = lanes;
-  lookahead_ = lookahead;
-  queues_.clear();
-  for (int i = 0; i <= lanes; ++i) queues_.emplace_back();
-  lane_now_.assign(static_cast<size_t>(lanes) + 1, 0);
-  mailbox_.clear();
-  mailbox_.resize(static_cast<size_t>(lanes) + 1);
-  defers_.clear();
-  defers_.resize(static_cast<size_t>(lanes) + 1);
-}
-
-void Simulator::SetThreads(int threads) {
-  SEAWEED_CHECK_MSG(threads >= 1, "SetThreads: threads must be >= 1");
-  SEAWEED_CHECK_MSG(workers_.empty(), "SetThreads after workers started");
-  threads_ = threads;
-}
-
-void Simulator::SetEndsystemLanes(std::vector<uint8_t> lane_of) {
-  lane_of_ = std::move(lane_of);
-}
-
-EventId Simulator::ScheduleIn(int lane, SimTime when, EventFn fn) {
-  EventId id = queues_[lane].Schedule(when, std::move(fn));
-  if (id == kInvalidEventId) return id;
-  return id | (static_cast<uint64_t>(lane) << kLaneShift);
-}
-
-EventId Simulator::AtLane(int lane, SimTime when, EventFn fn) {
-  SEAWEED_DCHECK(lane >= 0 && lane < static_cast<int>(queues_.size()));
-  const int cur = CurrentExecLane();
-  if (cur <= 0 || cur == lane) {
-    // Exclusive context or owner lane: direct insert.
-    SEAWEED_DCHECK(when >= Now());
-    return ScheduleIn(lane, when, std::move(fn));
-  }
-  // Cross-lane: route through the mailbox; lookahead guarantees the event
-  // lands beyond the current window.
-  SEAWEED_DCHECK(when >= horizon_);
-  mailbox_[cur].push_back(CrossLaneEvent{when, lane, std::move(fn)});
-  return kInvalidEventId;
-}
-
-bool Simulator::Cancel(EventId id) {
-  if (id == kInvalidEventId) return false;
-  const int lane = static_cast<int>(id >> kLaneShift);
-  if (lane >= static_cast<int>(queues_.size())) return false;
-  // Cancellation of another lane's events mid-window would race; every
-  // production cancel comes from the owning context.
-  SEAWEED_DCHECK(CurrentExecLane() <= 0 || CurrentExecLane() == lane);
-  return queues_[lane].Cancel(id & kQueueIdMask);
-}
-
-void Simulator::Defer(const DeferEffect& effect) {
-  const int cur = CurrentExecLane();
-  if (cur <= 0) {
-    effect.fn(effect.ctx, effect.a, effect.b, effect.c, effect.d);
-    return;
-  }
-  defers_[cur].push_back(effect);
-}
-
 void Simulator::RunUntil(SimTime until) {
-  if (num_lanes_ == 0) {
-    RunSerial(until);
-  } else {
-    RunLanes(until);
+  while (!queue_.empty() && queue_.PeekTime() <= until) {
+    auto [when, fn] = queue_.Pop();
+    now_ = when;
+    fn();
   }
   if (now_ < until && until != kSimTimeMax) now_ = until;
 }
 
-void Simulator::RunSerial(SimTime until) {
-  EventQueue& q = queues_[0];
-  while (!q.empty()) {
-    SimTime next = q.PeekTime();
-    if (next > until) break;
-    auto [when, fn] = q.Pop();
-    now_ = when;
-    lane_now_[0] = when;
-    fn();
-  }
-}
-
-void Simulator::RunLaneWindow(int lane, SimTime horizon) {
-  SetCurrentExecLane(lane);
-  EventQueue& q = queues_[lane];
-  while (q.PeekTime() < horizon) {
-    auto [when, fn] = q.Pop();
-    lane_now_[lane] = when;
-    fn();
-  }
-  lane_now_[lane] = horizon;
-  SetCurrentExecLane(-1);
-}
-
-void Simulator::DrainBarrier() {
-  // Deterministic order: mailboxes by source lane then append order (the
-  // target queue assigns FIFO sequence numbers at insertion), then defer
-  // effects by lane then append order.
-  for (auto& box : mailbox_) {
-    for (CrossLaneEvent& e : box) {
-      ScheduleIn(e.target, e.when, std::move(e.fn));
-    }
-    box.clear();
-  }
-  for (auto& lane_defers : defers_) {
-    for (const DeferEffect& d : lane_defers) {
-      d.fn(d.ctx, d.a, d.b, d.c, d.d);
-    }
-    lane_defers.clear();
-  }
-}
-
-void Simulator::RunLanes(SimTime until) {
-  for (;;) {
-    const SimTime t_ctl = queues_[0].PeekTime();
-    SimTime t_min = kSimTimeMax;
-    for (int l = 1; l <= num_lanes_; ++l) {
-      t_min = std::min(t_min, queues_[l].PeekTime());
-    }
-    const SimTime t_next = std::min(t_ctl, t_min);
-    if (t_next == kSimTimeMax || t_next > until) break;
-
-    if (t_ctl <= t_min) {
-      // Control events run exclusively, one at a time, so they may read and
-      // write any lane's state (oracles, stat sampling, fault schedules).
-      auto [when, fn] = queues_[0].Pop();
-      now_ = when;
-      lane_now_[0] = when;
-      SetCurrentExecLane(0);
-      fn();
-      SetCurrentExecLane(-1);
-      continue;
-    }
-
-    // Open a window: every lane may run up to (but excluding) the horizon —
-    // the earliest time at which another lane or the control lane could
-    // influence it.
-    SimTime horizon = std::min(t_ctl, SaturatingAdd(t_min, lookahead_));
-    if (until < kSimTimeMax) horizon = std::min(horizon, until + 1);
-    horizon_ = horizon;
-
-    if (threads_ > 1) {
-      RunWindowParallel(horizon);
-    } else {
-      for (int l = 1; l <= num_lanes_; ++l) RunLaneWindow(l, horizon);
-    }
-
-    now_ = std::min(horizon, until);
-    DrainBarrier();
-  }
-}
-
 uint64_t Simulator::Step(uint64_t n) {
-  SEAWEED_CHECK_MSG(num_lanes_ == 0, "Step is only meaningful in serial mode");
-  EventQueue& q = queues_[0];
   uint64_t done = 0;
-  while (done < n && !q.empty()) {
-    auto [when, fn] = q.Pop();
+  while (done < n && !queue_.empty()) {
+    auto [when, fn] = queue_.Pop();
     now_ = when;
-    lane_now_[0] = when;
     fn();
     ++done;
   }
   return done;
-}
-
-uint64_t Simulator::events_executed() const {
-  uint64_t total = 0;
-  for (const EventQueue& q : queues_) total += q.stats().executed;
-  return total;
-}
-
-size_t Simulator::pending_events() const {
-  size_t total = 0;
-  for (const EventQueue& q : queues_) total += q.size();
-  return total;
-}
-
-size_t Simulator::ApproxQueueBytes() const {
-  size_t total = 0;
-  for (const EventQueue& q : queues_) total += q.ApproxBytes();
-  return total;
-}
-
-// --- Worker pool ---
-
-void Simulator::StartWorkers() {
-  if (!workers_.empty()) return;
-  const int pool = threads_ - 1;  // the calling thread is worker 0
-  workers_.reserve(pool);
-  for (int w = 1; w <= pool; ++w) {
-    workers_.emplace_back([this, w] { WorkerLoop(w); });
-  }
-}
-
-void Simulator::StopWorkers() {
-  if (workers_.empty()) return;
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    shutdown_ = true;
-  }
-  pool_cv_.notify_all();
-  for (std::thread& t : workers_) t.join();
-  workers_.clear();
-  shutdown_ = false;
-}
-
-void Simulator::WorkerLoop(int worker) {
-  uint64_t seen = 0;
-  for (;;) {
-    SimTime horizon;
-    {
-      std::unique_lock<std::mutex> lock(pool_mu_);
-      pool_cv_.wait(lock,
-                    [&] { return shutdown_ || window_seq_ != seen; });
-      if (shutdown_) return;
-      seen = window_seq_;
-      horizon = window_horizon_;
-    }
-    // Static lane assignment: worker w owns lanes with (l-1) % threads == w.
-    for (int l = 1; l <= num_lanes_; ++l) {
-      if ((l - 1) % threads_ == worker) RunLaneWindow(l, horizon);
-    }
-    {
-      std::lock_guard<std::mutex> lock(pool_mu_);
-      --window_remaining_;
-    }
-    done_cv_.notify_one();
-  }
-}
-
-void Simulator::RunWindowParallel(SimTime horizon) {
-  StartWorkers();
-  {
-    std::lock_guard<std::mutex> lock(pool_mu_);
-    window_horizon_ = horizon;
-    window_remaining_ = threads_ - 1;
-    ++window_seq_;
-  }
-  pool_cv_.notify_all();
-  // The calling thread doubles as worker 0.
-  for (int l = 1; l <= num_lanes_; ++l) {
-    if ((l - 1) % threads_ == 0) RunLaneWindow(l, horizon);
-  }
-  std::unique_lock<std::mutex> lock(pool_mu_);
-  done_cv_.wait(lock, [&] { return window_remaining_ == 0; });
 }
 
 }  // namespace seaweed

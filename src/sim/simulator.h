@@ -1,35 +1,13 @@
 // Simulator: the discrete-event engine driving all packet-level experiments.
 //
-// Owns the virtual clock and the event queue(s). Components schedule
-// callbacks with At()/After(); RunUntil() advances the clock.
-//
-// Two execution modes:
-//
-//  * Legacy serial (default): one event queue, one thread, exactly the
-//    classic discrete-event loop. All existing tests and differentials run
-//    in this mode.
-//
-//  * Lane mode (ConfigureLanes): the schedule is partitioned into a control
-//    lane (queue 0) plus K topology lanes (queues 1..K), one per group of
-//    topologically-close endsystems. Lanes advance together in conservative
-//    windows bounded by the minimum cross-lane link latency ("lookahead"):
-//    within a window no lane can affect another, so lanes may execute on
-//    separate threads. Cross-lane interactions go through per-lane mailboxes
-//    (future events) and POD defer buffers (immediate effects), both drained
-//    at the window barrier in a fixed lane-then-append order. Control events
-//    run exclusively (no lane concurrent with them). The upshot: the
-//    committed event order is a pure function of the lane count and seed,
-//    NOT of the thread count — an N-thread run is byte-identical to a
-//    1-thread run of the same configuration.
+// Owns the virtual clock and the event queue. Components schedule callbacks
+// with At()/After(); RunUntil() advances the clock. One queue, one thread:
+// the classic discrete-event loop, so a run is a pure function of its
+// configuration and seed.
 #pragma once
 
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
-#include <thread>
-#include <vector>
 
-#include "common/lane.h"
 #include "common/logging.h"
 #include "common/time_types.h"
 #include "sim/event_queue.h"
@@ -42,132 +20,49 @@ namespace seaweed {
 // virtual dispatch only where the seam is actually needed.
 class Simulator final : public Scheduler {
  public:
-  Simulator();
-  ~Simulator();
+  Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
-  // Current simulated time: the executing lane's clock while a lane event
-  // runs, the committed global clock otherwise.
-  SimTime Now() const override {
-    const int lane = CurrentExecLane();
-    if (lane >= 0) return lane_now_[lane];
-    return now_;
-  }
+  // Current simulated time.
+  SimTime Now() const override { return now_; }
 
-  // Schedules `fn` at absolute simulated time `when` (>= Now()) in the
-  // calling context's lane (the control lane outside lane execution).
+  // Schedules `fn` at absolute simulated time `when` (>= Now()).
   EventId At(SimTime when, EventFn fn) override {
-    SEAWEED_DCHECK(when >= Now());
-    const int lane = CurrentExecLane();
-    return ScheduleIn(lane >= 1 ? lane : 0, when, std::move(fn));
+    SEAWEED_DCHECK(when >= now_);
+    return queue_.Schedule(when, std::move(fn));
   }
 
   // Schedules `fn` after `delay` from now.
   EventId After(SimDuration delay, EventFn fn) {
     SEAWEED_DCHECK(delay >= 0);
-    return At(Now() + delay, std::move(fn));
+    return At(now_ + delay, std::move(fn));
   }
-
-  // Schedules `fn` at `when` in a specific lane. From the owning lane or any
-  // exclusive context this is a direct insert; from a different lane the
-  // event is routed through the cross-lane mailbox (requires
-  // when >= the current window horizon, guaranteed by lookahead) and is not
-  // cancellable (returns kInvalidEventId).
-  EventId AtLane(int lane, SimTime when, EventFn fn);
 
   // Cancels a pending event.
-  bool Cancel(EventId id) override;
+  bool Cancel(EventId id) override { return queue_.Cancel(id); }
 
-  // Applies `effect` now (exclusive contexts) or at this window's barrier
-  // (lane contexts). Barrier application order is deterministic: by lane,
-  // then by defer order within the lane.
-  void Defer(const DeferEffect& effect) override;
-
-  // --- Lane configuration (before any events are scheduled) ---
-
-  // Switches to lane mode with `lanes` topology lanes and the given
-  // conservative lookahead (minimum cross-lane latency, > 0).
-  void ConfigureLanes(int lanes, SimDuration lookahead);
-  // Number of worker threads executing topology lanes (>= 1). Semantics are
-  // identical for every value; only wall-clock changes.
-  void SetThreads(int threads);
-  // Maps each endsystem to its topology lane (values in [1, lanes]).
-  void SetEndsystemLanes(std::vector<uint8_t> lane_of);
-
-  int lanes() const { return num_lanes_; }  // 0 in legacy mode
-  int threads() const { return threads_; }
-  SimDuration lookahead() const { return lookahead_; }
-  int LaneOfEndsystem(size_t e) const override {
-    return e < lane_of_.size() ? lane_of_[e] : 0;
-  }
-
-  // Runs events until the queues drain or the clock passes `until`.
-  // The clock is left at min(until, last event time).
+  // Runs events until the queue drains or the clock passes `until`.
+  // The clock is left at `until` (or at the last event time when `until`
+  // is kSimTimeMax).
   void RunUntil(SimTime until);
 
-  // Runs until the event queues are empty.
+  // Runs until the event queue is empty.
   void RunToCompletion() { RunUntil(kSimTimeMax); }
 
-  // Executes at most `n` events (for stepping in tests; legacy mode only).
+  // Executes at most `n` events (for stepping in tests).
   // Returns the number actually executed.
   uint64_t Step(uint64_t n = 1);
 
-  uint64_t events_executed() const;
-  size_t pending_events() const;
+  uint64_t events_executed() const { return queue_.stats().executed; }
+  size_t pending_events() const { return queue_.size(); }
 
-  // Per-queue stats for the sim.lane.* gauges (index 0 = control lane).
-  int num_queues() const { return static_cast<int>(queues_.size()); }
-  const EventQueue::Stats& QueueStats(int queue) const {
-    return queues_[queue].stats();
-  }
-  size_t QueueDepth(int queue) const { return queues_[queue].size(); }
-  // Approximate bytes held by all event queues (for memory gauges).
-  size_t ApproxQueueBytes() const;
+  // Approximate bytes held by the event queue (for memory gauges).
+  size_t ApproxQueueBytes() const { return queue_.ApproxBytes(); }
 
  private:
-  struct CrossLaneEvent {
-    SimTime when;
-    int target;
-    EventFn fn;
-  };
-
-  EventId ScheduleIn(int lane, SimTime when, EventFn fn);
-  void RunSerial(SimTime until);
-  void RunLanes(SimTime until);
-  // Executes queue `lane` up to (strictly below) `horizon`.
-  void RunLaneWindow(int lane, SimTime horizon);
-  void DrainBarrier();
-
-  // Worker-pool plumbing (lane mode with threads > 1).
-  void StartWorkers();
-  void StopWorkers();
-  void WorkerLoop(int worker);
-  void RunWindowParallel(SimTime horizon);
-
-  std::vector<EventQueue> queues_;  // [0] control; [1..K] topology lanes
-  std::vector<SimTime> lane_now_;
+  EventQueue queue_;
   SimTime now_ = 0;
-
-  int num_lanes_ = 0;  // 0 = legacy serial
-  SimDuration lookahead_ = 0;
-  int threads_ = 1;
-  std::vector<uint8_t> lane_of_;
-
-  // Per-source-lane buffers, drained at the barrier.
-  std::vector<std::vector<CrossLaneEvent>> mailbox_;
-  std::vector<std::vector<DeferEffect>> defers_;
-  SimTime horizon_ = 0;  // current window horizon (for mailbox DCHECKs)
-
-  // Worker pool.
-  std::vector<std::thread> workers_;
-  std::mutex pool_mu_;
-  std::condition_variable pool_cv_;
-  std::condition_variable done_cv_;
-  uint64_t window_seq_ = 0;
-  SimTime window_horizon_ = 0;
-  int window_remaining_ = 0;
-  bool shutdown_ = false;
 };
 
 }  // namespace seaweed

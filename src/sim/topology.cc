@@ -1,6 +1,6 @@
 #include "sim/topology.h"
 
-#include <algorithm>
+#include <functional>
 #include <limits>
 #include <queue>
 
@@ -24,17 +24,7 @@ void Topology::BuildRouterGraph(const TopologyConfig& config, Rng& rng) {
   const int regions = cores * config.regions_per_core;
   const int branches = regions * config.branches_per_region;
   num_routers_ = cores + regions + branches;
-  num_cores_ = cores;
   adj_.assign(static_cast<size_t>(num_routers_), {});
-  core_group_.resize(static_cast<size_t>(num_routers_));
-  for (int i = 0; i < cores; ++i) core_group_[i] = i;
-  for (int r = 0; r < regions; ++r) {
-    core_group_[cores + r] = r / config.regions_per_core;
-  }
-  for (int br = 0; br < branches; ++br) {
-    int region = br / config.branches_per_region;
-    core_group_[cores + regions + br] = region / config.regions_per_core;
-  }
 
   auto add_link = [&](int a, int b, SimDuration rtt) {
     adj_[static_cast<size_t>(a)].push_back({b, rtt});
@@ -98,30 +88,6 @@ void Topology::ComputeAllPairs() {
       }
     }
   }
-}
-
-Topology::LanePlan Topology::ComputeLanePlan(int max_lanes) const {
-  LanePlan plan;
-  plan.num_lanes = std::max(1, std::min(num_cores_, max_lanes));
-  plan.lane_of.resize(attach_.size());
-  for (size_t e = 0; e < attach_.size(); ++e) {
-    plan.lane_of[e] = static_cast<uint8_t>(
-        core_group_[static_cast<size_t>(attach_[e])] % plan.num_lanes + 1);
-  }
-  // Conservative lookahead: the smallest one-way delay any message between
-  // endsystems in distinct lanes can have. Computed over all router pairs
-  // (including routers without endsystems — strictly conservative).
-  const size_t n = static_cast<size_t>(num_routers_);
-  for (size_t a = 0; a < n; ++a) {
-    const int lane_a = core_group_[a] % plan.num_lanes;
-    for (size_t b = a + 1; b < n; ++b) {
-      if (core_group_[b] % plan.num_lanes == lane_a) continue;
-      const SimDuration delay =
-          2 * lan_link_delay_ + router_rtt_[a * n + b] / 2;
-      plan.lookahead = std::min(plan.lookahead, delay);
-    }
-  }
-  return plan;
 }
 
 SimDuration Topology::Delay(EndsystemIndex from, EndsystemIndex to) const {

@@ -61,18 +61,6 @@ class Topology {
     return router_rtt_[static_cast<size_t>(a) * num_routers_ + c];
   }
 
-  // Lane partition for the parallel simulator. Endsystems are grouped by the
-  // WAN core router their attachment router hangs off, folded into at most
-  // `max_lanes` groups; the lookahead is the minimum one-way endsystem-to-
-  // endsystem delay across distinct lanes (every cross-lane path crosses at
-  // least one core WAN link, so this is comfortably above the LAN scale).
-  struct LanePlan {
-    int num_lanes = 1;
-    SimDuration lookahead = kSimTimeMax;   // no cross-lane path
-    std::vector<uint8_t> lane_of;          // endsystem -> lane in [1, K]
-  };
-  LanePlan ComputeLanePlan(int max_lanes) const;
-
  private:
   void BuildRouterGraph(const TopologyConfig& config, Rng& rng);
   void ComputeAllPairs();
@@ -83,8 +71,6 @@ class Topology {
   };
 
   int num_routers_ = 0;
-  int num_cores_ = 0;
-  std::vector<int> core_group_;  // router -> index of its WAN core
   std::vector<std::vector<Link>> adj_;
   std::vector<SimDuration> router_rtt_;  // num_routers^2, row-major
   std::vector<int> attach_;              // endsystem -> router

@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -289,13 +291,69 @@ TEST(SketchCodecTest, TopKRoundTripsMixedKeys) {
   ExpectRoundTrip(sk);
 }
 
-TEST(SketchCodecTest, UnknownTagIsParseErrorNotCrash) {
+// One-centroid quantile payload (version 1) with the given value/weight.
+std::vector<uint8_t> QuantilePayload(double v, double weight) {
   Writer w;
-  w.PutU8(1);  // payload version — irrelevant, tag dispatch fails first
-  Reader r(w.bytes());
-  auto decoded = DecodeSketchState(99, r);
-  EXPECT_FALSE(decoded.ok());
-  EXPECT_TRUE(decoded.status().IsParseError());
+  w.PutU8(1);
+  w.PutVarint(1);
+  w.PutDouble(v);
+  w.PutDouble(weight);
+  return w.bytes();
+}
+
+// One-entry top-k payload (version 1, capacity 64) with a raw varint count.
+std::vector<uint8_t> TopKPayload(uint64_t count) {
+  Writer w;
+  w.PutU8(1);
+  w.PutVarint(64);
+  w.PutVarint(1);
+  Value(int64_t{7}).Encode(w);
+  w.PutVarint(count);
+  return w.bytes();
+}
+
+TEST(SketchCodecTest, UnknownTagIsParseErrorNotCrash) {
+  // Well-formed framing around meaningless content must be rejected too:
+  // a decoded state that finalizes to garbage is worse than a parse error.
+  const double kInf = std::numeric_limits<double>::infinity();
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  struct Case {
+    const char* what;
+    uint8_t tag;
+    std::vector<uint8_t> payload;
+  };
+  const Case cases[] = {
+      // Payload version is irrelevant: tag dispatch fails first.
+      {"unknown tag", 99, {1}},
+      {"quantile NaN value", kStateTagQuantile, QuantilePayload(kNan, 1)},
+      {"quantile +inf value", kStateTagQuantile, QuantilePayload(kInf, 1)},
+      {"quantile -inf value", kStateTagQuantile, QuantilePayload(-kInf, 1)},
+      {"quantile NaN weight", kStateTagQuantile, QuantilePayload(5, kNan)},
+      {"quantile +inf weight", kStateTagQuantile, QuantilePayload(5, kInf)},
+      {"quantile -inf weight", kStateTagQuantile, QuantilePayload(5, -kInf)},
+      {"quantile zero weight", kStateTagQuantile, QuantilePayload(5, 0)},
+      {"quantile negative weight", kStateTagQuantile, QuantilePayload(5, -2)},
+      {"top-k count above INT64_MAX", kStateTagTopK,
+       TopKPayload(uint64_t{1} << 63)},
+      {"top-k count UINT64_MAX", kStateTagTopK, TopKPayload(UINT64_MAX)},
+  };
+  for (const Case& c : cases) {
+    Reader r(c.payload);
+    auto decoded = DecodeSketchState(c.tag, r);
+    EXPECT_FALSE(decoded.ok()) << c.what;
+    if (!decoded.ok()) {
+      EXPECT_TRUE(decoded.status().IsParseError()) << c.what;
+    }
+  }
+  // The same framing with meaningful content decodes: the rejections above
+  // are about the values, not the layout.
+  for (const auto& [tag, payload] :
+       {std::pair{kStateTagQuantile, QuantilePayload(5, 2)},
+        std::pair{kStateTagTopK, TopKPayload(INT64_MAX)}}) {
+    Reader r(payload);
+    auto decoded = DecodeSketchState(tag, r);
+    EXPECT_TRUE(decoded.ok()) << decoded.status();
+  }
 }
 
 TEST(SketchCodecTest, AggStateCarriesSketchThroughWire) {

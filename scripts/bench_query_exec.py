@@ -1,11 +1,16 @@
 #!/usr/bin/env python3
-"""Runs the execution-engine benchmarks and writes BENCH_query_exec.json.
+"""Runs the execution-engine benchmarks and reports batch ns/row.
 
-Compares the vectorized batch engine (ExecuteAggregate) against the retained
-scalar reference engine (ExecuteAggregateScalar) on three workloads at
-10k/100k/1M rows, reporting ns/row before vs after.
+Times the batch engine (ExecuteAggregate) on three workloads at
+10k/100k/1M rows (bench/micro_core, BM_ExecuteAggregate*) and writes
+ns/row per workload and size as JSON.
+
+BENCH_query_exec.json is the historical record of the batch engine against
+the deleted scalar reference engine; this script does not overwrite it by
+default.
 
 Usage: scripts/bench_query_exec.py [build_dir] [output_json]
+  output_json defaults to <build_dir>/bench_query_exec.json.
 """
 import json
 import subprocess
@@ -14,7 +19,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 BUILD = Path(sys.argv[1]) if len(sys.argv) > 1 else REPO / "build"
-OUT = Path(sys.argv[2]) if len(sys.argv) > 2 else REPO / "BENCH_query_exec.json"
+OUT = Path(sys.argv[2]) if len(sys.argv) > 2 else BUILD / "bench_query_exec.json"
 
 WORKLOADS = {
     "selective": "BM_ExecuteAggregateSelective",
@@ -37,7 +42,7 @@ def main():
     )
     raw = json.loads(raw_path.read_text())
 
-    # name -> (ns total, rows): "BM_ExecuteAggregateSelectiveScalar/100000"
+    # name -> ns total: "BM_ExecuteAggregateSelective/100000"
     times = {}
     for b in raw["benchmarks"]:
         if b.get("run_type") == "aggregate":
@@ -47,34 +52,26 @@ def main():
 
     report = {
         "benchmark": "query_exec",
-        "description": (
-            "Local aggregate execution: scalar row-at-a-time engine "
-            "(before) vs vectorized batch engine (after), ns/row"
-        ),
+        "description": "Local aggregate execution, batch engine, ns/row",
         "context": {
             "date": raw["context"]["date"],
             "num_cpus": raw["context"]["num_cpus"],
             "mhz_per_cpu": raw["context"]["mhz_per_cpu"],
             "build_type": "RelWithDebInfo",
         },
-        "workloads": {},
-    }
-    for key, base in WORKLOADS.items():
-        per_size = {}
-        for rows in (10000, 100000, 1000000):
-            batch = times[(base, rows)]
-            scalar = times[(base + "Scalar", rows)]
-            per_size[str(rows)] = {
-                "scalar_ns_per_row": round(scalar / rows, 4),
-                "batch_ns_per_row": round(batch / rows, 4),
-                "speedup": round(scalar / batch, 2),
+        "workloads": {
+            key: {
+                str(rows): {"batch_ns_per_row": round(times[(base, rows)] / rows, 4)}
+                for rows in (10000, 100000, 1000000)
             }
-        report["workloads"][key] = per_size
+            for key, base in WORKLOADS.items()
+        },
+    }
 
     OUT.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {OUT}")
-    sel = report["workloads"]["selective"]["100000"]["speedup"]
-    print(f"selective/100k speedup: {sel}x")
+    sel = report["workloads"]["selective"]["100000"]["batch_ns_per_row"]
+    print(f"selective/100k: {sel} ns/row")
 
 
 if __name__ == "__main__":

@@ -26,24 +26,6 @@ const char* CompareOpName(CompareOp op) {
   return "?";
 }
 
-bool EvalCompare(CompareOp op, int cmp3) {
-  switch (op) {
-    case CompareOp::kEq:
-      return cmp3 == 0;
-    case CompareOp::kNe:
-      return cmp3 != 0;
-    case CompareOp::kLt:
-      return cmp3 < 0;
-    case CompareOp::kLe:
-      return cmp3 <= 0;
-    case CompareOp::kGt:
-      return cmp3 > 0;
-    case CompareOp::kGe:
-      return cmp3 >= 0;
-  }
-  return false;
-}
-
 PredicatePtr Predicate::True() {
   static const PredicatePtr kTrueNode = std::make_shared<Predicate>();
   return kTrueNode;

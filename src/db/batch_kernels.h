@@ -10,8 +10,8 @@
 // final selection with no Value boxing.
 //
 // All kernels preserve row order (selection vectors stay sorted ascending),
-// so floating-point accumulation happens in exactly the same order as the
-// scalar row-at-a-time path and results are bit-identical to it.
+// so floating-point accumulation happens in table order whatever the
+// predicate, and sliced and one-shot scans give bit-identical results.
 #pragma once
 
 #include <cstdint>
@@ -39,10 +39,10 @@ void SelAll(uint32_t start, uint32_t len, SelVector* out);
 // sorted union.
 void SelUnion(const SelVector& a, const SelVector& b, SelVector* out);
 
-// Comparison functors matching the scalar path's three-way semantics
-// (cmp3 = (v < lit) ? -1 : (v > lit ? 1 : 0), then EvalCompare(op, cmp3)).
-// Expressing each op through </> keeps NaN behavior identical to the
-// scalar engine for double columns.
+// Comparison functors with three-way semantics: each op is expressed
+// through < and > only (= is "neither less nor greater"), so a NaN column
+// value compares equal to every literal. CSV ingest rejects non-finite
+// doubles, so loaded tables hold no NaN.
 struct CmpEq {
   template <typename T>
   bool operator()(T v, T lit) const { return !(v < lit) && !(v > lit); }
@@ -71,7 +71,7 @@ struct CmpGe {
 // Dense filter: scans rows [start, start + len) of `col` and appends
 // matching row ids to `out`. `Lit` is the comparison domain: the column
 // value is converted to it first (int64 column vs double literal compares
-// as double, exactly like the scalar path).
+// as double).
 template <typename T, typename Lit, typename Cmp>
 inline void FilterDense(const T* col, uint32_t start, uint32_t len, Lit lit,
                         Cmp cmp, SelVector* out) {

@@ -1,5 +1,7 @@
 #include "db/csv.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -110,8 +112,9 @@ Result<int64_t> AppendCsv(std::istream& in, Table* table,
       char* endp = nullptr;
       switch (def.type) {
         case ColumnType::kInt64: {
+          errno = 0;
           long long v = std::strtoll(text.c_str(), &endp, 10);
-          if (endp == text.c_str() || *endp != '\0') {
+          if (endp == text.c_str() || *endp != '\0' || errno == ERANGE) {
             return Status::ParseError("line " + std::to_string(line_no) +
                                       ": bad integer '" + text + "' for " +
                                       def.name);
@@ -120,8 +123,12 @@ Result<int64_t> AppendCsv(std::istream& in, Table* table,
           break;
         }
         case ColumnType::kDouble: {
+          // Non-finite or out-of-range values are rejected: a NaN row would
+          // poison every aggregate (and sketch state) built over it.
+          errno = 0;
           double v = std::strtod(text.c_str(), &endp);
-          if (endp == text.c_str() || *endp != '\0') {
+          if (endp == text.c_str() || *endp != '\0' || errno == ERANGE ||
+              !std::isfinite(v)) {
             return Status::ParseError("line " + std::to_string(line_no) +
                                       ": bad number '" + text + "' for " +
                                       def.name);

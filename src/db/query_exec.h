@@ -1,17 +1,13 @@
 // Query execution: predicate compilation, aggregate accumulators, and the
 // single-table executor every Seaweed endsystem runs locally.
 //
-// Two engines share one binding layer:
-//  * The batch (vectorized) engine — the production path. Predicates
-//    compile to flat, type-specialized column kernels producing a selection
-//    vector per ~1024-row batch (see batch_kernels.h); aggregation runs
-//    fused SUM/COUNT/MIN/MAX kernels over the selection with no Value
-//    boxing; GROUP BY on a dictionary column uses dense array-indexed
-//    accumulators sized by dict_size().
-//  * The scalar row-at-a-time engine — retained as the reference
-//    implementation for differential testing and as the "before" baseline
-//    in benchmarks. Both produce bit-identical results (the batch engine
-//    preserves row order, so floating-point accumulation order matches).
+// One engine, batch (vectorized): predicates compile to flat,
+// type-specialized column kernels producing a selection vector per
+// ~1024-row batch (see batch_kernels.h); aggregation runs fused
+// SUM/COUNT/MIN/MAX kernels over the selection with no Value boxing;
+// GROUP BY on a dictionary column uses dense array-indexed accumulators
+// sized by dict_size(). Rows are accumulated in table order. The test
+// oracle is SQLite (tests/sqlite_oracle.h), which shares none of this code.
 //
 // Aggregate states are *mergeable* — the property in-network aggregation
 // (§3.4) depends on: merging the per-endsystem states in any order and any
@@ -35,43 +31,6 @@
 #include "obs/metrics.h"
 
 namespace seaweed::db {
-
-// A predicate bound against a concrete table schema for fast row evaluation.
-// String literals are pre-resolved to dictionary codes.
-//
-// This is the scalar reference path; the batch engine uses BatchPredicate.
-class CompiledPredicate {
- public:
-  // Binds `pred` to `table`. Fails on unknown columns or type mismatches
-  // (e.g. string literal compared against a numeric column).
-  static Result<CompiledPredicate> Bind(const PredicatePtr& pred,
-                                        const Table& table);
-
-  bool Matches(const Table& table, size_t row) const;
-
- private:
-  struct Node {
-    Predicate::Kind kind;
-    // kCompare:
-    int column_index = -1;
-    ColumnType column_type = ColumnType::kInt64;
-    CompareOp op = CompareOp::kEq;
-    int64_t int_literal = 0;
-    double double_literal = 0;
-    int64_t string_code = -1;  // -1 = literal absent from dictionary
-    bool literal_is_int = true;
-    // kAnd/kOr: child indices into nodes_.
-    int left = -1;
-    int right = -1;
-  };
-
-  static Result<int> BindNode(const PredicatePtr& pred, const Table& table,
-                              std::vector<Node>* nodes);
-  bool EvalNode(int idx, const Table& table, size_t row) const;
-
-  std::vector<Node> nodes_;
-  int root_ = -1;
-};
 
 // A predicate compiled to batch kernels. AND/OR become selection-vector
 // composition/union; dictionary-coded string equality becomes a uint32_t
@@ -322,12 +281,6 @@ class PlanCache {
 // Executes an aggregate-only query against a local table (batch engine).
 Result<AggregateResult> ExecuteAggregate(const Table& table,
                                          const SelectQuery& query);
-
-// Reference row-at-a-time executor. Kept for differential testing and as
-// the benchmark baseline; produces bit-identical results to the batch
-// engine.
-Result<AggregateResult> ExecuteAggregateScalar(const Table& table,
-                                               const SelectQuery& query);
 
 // Counts rows matching the query's WHERE clause (used for exact row counts
 // on available endsystems and as ground truth in the evaluation).

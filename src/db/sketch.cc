@@ -65,7 +65,7 @@ void HllSketch::AddHash(uint64_t h) {
   // all-zero remainder gets the maximum rank.
   const uint64_t rest = h << kPrecision;
   const uint8_t rank = static_cast<uint8_t>(
-      rest == 0 ? (64 - kPrecision + 1) : std::countl_zero(rest) + 1);
+      rest == 0 ? kMaxRank : std::countl_zero(rest) + 1);
   if (rank > regs_[idx]) regs_[idx] = rank;
 }
 
@@ -134,6 +134,9 @@ Result<std::unique_ptr<SketchState>> HllSketch::Decode(Reader& r) {
   if (mode == 0) {
     for (size_t i = 0; i < kRegisters; ++i) {
       SEAWEED_ASSIGN_OR_RETURN(out->regs_[i], r.GetU8());
+      if (out->regs_[i] > kMaxRank) {
+        return Status::ParseError("HLL register above maximum rank");
+      }
     }
   } else if (mode == 1) {
     SEAWEED_ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
@@ -141,9 +144,16 @@ Result<std::unique_ptr<SketchState>> HllSketch::Decode(Reader& r) {
     size_t idx = 0;
     for (uint64_t i = 0; i < n; ++i) {
       SEAWEED_ASSIGN_OR_RETURN(uint64_t delta, r.GetVarint());
+      // Indices strictly increase (only the first delta may be 0) and never
+      // leave the register array; checked before adding, so no wrap-around.
+      if ((i > 0 && delta == 0) || delta >= kRegisters - idx) {
+        return Status::ParseError("HLL sparse index out of order or range");
+      }
       idx += delta;
-      if (idx >= kRegisters) return Status::ParseError("HLL index overflow");
       SEAWEED_ASSIGN_OR_RETURN(out->regs_[idx], r.GetU8());
+      if (out->regs_[idx] == 0 || out->regs_[idx] > kMaxRank) {
+        return Status::ParseError("HLL sparse register out of range");
+      }
     }
   } else {
     return Status::ParseError("unknown HLL encoding mode");

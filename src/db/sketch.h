@@ -70,6 +70,8 @@ class HllSketch final : public SketchState {
  public:
   static constexpr int kPrecision = 12;
   static constexpr size_t kRegisters = size_t{1} << kPrecision;
+  // Largest register value: an all-zero 52-bit hash remainder.
+  static constexpr uint8_t kMaxRank = 64 - kPrecision + 1;
 
   HllSketch() : regs_(kRegisters, 0) {}
 

@@ -1,6 +1,8 @@
 #include "db/sql_parser.h"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "db/aggregate.h"
@@ -68,11 +70,20 @@ class Lexer {
       std::string text = input_.substr(start, pos_ - start);
       t.kind = TokKind::kNumber;
       t.number_is_int = is_int;
+      // A literal that does not fit its type (or only partly parses, like
+      // "1.2.3") is an error, never a silently saturated or truncated value.
+      char* endp = nullptr;
+      errno = 0;
       if (is_int) {
-        t.int_value = std::strtoll(text.c_str(), nullptr, 10);
+        t.int_value = std::strtoll(text.c_str(), &endp, 10);
         t.number = static_cast<double>(t.int_value);
       } else {
-        t.number = std::strtod(text.c_str(), nullptr);
+        t.number = std::strtod(text.c_str(), &endp);
+      }
+      if (errno == ERANGE || *endp != '\0' || !std::isfinite(t.number)) {
+        return Status::ParseError("numeric literal '" + text +
+                                  "' out of range or malformed at offset " +
+                                  std::to_string(start));
       }
       return t;
     }
@@ -314,14 +325,23 @@ class Parser {
         return Status::ParseError("arithmetic on string literal");
       }
       if (acc.is_int64() && rhs.is_int64()) {
-        acc = Value(add ? acc.AsInt64() + rhs.AsInt64()
-                        : acc.AsInt64() - rhs.AsInt64());
+        int64_t folded = 0;
+        if (add ? __builtin_add_overflow(acc.AsInt64(), rhs.AsInt64(), &folded)
+                : __builtin_sub_overflow(acc.AsInt64(), rhs.AsInt64(),
+                                         &folded)) {
+          return Status::ParseError("integer overflow in constant expression");
+        }
+        acc = Value(folded);
       } else {
         double a = acc.is_int64() ? static_cast<double>(acc.AsInt64())
                                   : acc.AsDouble();
         double b = rhs.is_int64() ? static_cast<double>(rhs.AsInt64())
                                   : rhs.AsDouble();
-        acc = Value(add ? a + b : a - b);
+        double folded = add ? a + b : a - b;
+        if (!std::isfinite(folded)) {
+          return Status::ParseError("overflow in constant expression");
+        }
+        acc = Value(folded);
       }
     }
     return acc;

@@ -65,13 +65,6 @@ Result<SlicedExecution> AnemoneDataProvider::BeginSlicedExecution(
   return exec;
 }
 
-Result<int64_t> AnemoneDataProvider::CountMatching(
-    int endsystem, const db::SelectQuery& query) {
-  std::unique_ptr<db::Database> tmp;
-  db::Database* database = GetOrBuild(endsystem, &tmp);
-  return database->CountMatching(query);
-}
-
 uint32_t AnemoneDataProvider::SummaryWireBytes(int endsystem) {
   if (wire_bytes_override_ > 0) return wire_bytes_override_;
   return static_cast<uint32_t>(Summary(endsystem).EncodedBytes());

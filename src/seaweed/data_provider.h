@@ -89,9 +89,6 @@ class AnemoneDataProvider : public DataProvider {
                                                const std::string& key) override;
   uint32_t SummaryWireBytes(int endsystem) override;
 
-  // Ground truth helper for experiments: exact matching row count.
-  Result<int64_t> CountMatching(int endsystem, const db::SelectQuery& query);
-
  private:
   db::Database* GetOrBuild(int endsystem, std::unique_ptr<db::Database>* tmp);
 

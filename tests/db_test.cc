@@ -136,6 +136,19 @@ TEST(SqlParserTest, RejectsMalformed) {
   EXPECT_TRUE(ParseSelect("SELECT COUNT(*) FROM t WHERE a = 'unterminated")
                   .status()
                   .IsParseError());
+  // Literals must mean what they say: no saturation, overflow or truncation.
+  for (const char* sql : {
+           "SELECT COUNT(*) FROM t WHERE Bytes > 99999999999999999999",
+           "SELECT COUNT(*) FROM t WHERE Bytes > 1e999",
+           "SELECT COUNT(*) FROM t WHERE Bytes > 1.2.3",
+           "SELECT COUNT(*) FROM t WHERE Bytes > 9223372036854775807 + 1",
+           "SELECT COUNT(*) FROM t WHERE Bytes > 1e308 + 1e308",
+       }) {
+    EXPECT_TRUE(ParseSelect(sql).status().IsParseError()) << sql;
+  }
+  EXPECT_TRUE(
+      ParseSelect("SELECT COUNT(*) FROM t WHERE Bytes > 9223372036854775807")
+          .ok());
 }
 
 // --- Execution ---

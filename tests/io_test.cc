@@ -155,6 +155,16 @@ TEST(CsvTest, Errors) {
     std::stringstream in("ts,ratio\n1,2\n");  // missing schema column
     EXPECT_TRUE(db::AppendCsv(in, &table).status().IsParseError());
   }
+  // Values that parse but mean nothing: non-finite doubles and integers
+  // out of int64 range (strtoll would saturate them silently).
+  for (const char* csv : {"ts,ratio,app\n1,nan,a\n", "ts,ratio,app\n1,inf,a\n",
+                          "ts,ratio,app\n1,-Infinity,a\n",
+                          "ts,ratio,app\n1,1e999,a\n",
+                          "ts,ratio,app\n99999999999999999999,2,a\n",
+                          "ts,ratio,app\n-99999999999999999999,2,a\n"}) {
+    std::stringstream in(csv);
+    EXPECT_TRUE(db::AppendCsv(in, &table).status().IsParseError()) << csv;
+  }
   EXPECT_EQ(table.num_rows(), 0u);
 }
 

@@ -1,7 +1,8 @@
 // Tests for the mergeable-aggregate registry and the approximate sketch
 // functions (DISTINCT_APPROX / QUANTILE / TOPK): accuracy against exact
 // ground truth, lossless codecs, merge-order properties over random
-// partitions and random tree shapes, and batch-vs-scalar engine equality.
+// partitions and random tree shapes, and the batch engine's sketch answers
+// against exact truth from SQLite.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +18,7 @@
 #include "db/query_exec.h"
 #include "db/sketch.h"
 #include "db/sql_parser.h"
+#include "sqlite_oracle.h"
 
 namespace seaweed::db {
 namespace {
@@ -312,6 +314,43 @@ std::vector<uint8_t> TopKPayload(uint64_t count) {
   return w.bytes();
 }
 
+// Dense HLL payload (version 1) with register 0 set to `value`.
+std::vector<uint8_t> HllDensePayload(uint8_t value) {
+  Writer w;
+  w.PutU8(1);
+  w.PutU8(0);
+  std::vector<uint8_t> regs(HllSketch::kRegisters, 0);
+  regs[0] = value;
+  w.PutBytes(regs.data(), regs.size());
+  return w.bytes();
+}
+
+// Sparse HLL payload (version 1) of raw (index delta, register) entries.
+std::vector<uint8_t> HllSparsePayload(
+    const std::vector<std::pair<uint64_t, uint8_t>>& entries) {
+  Writer w;
+  w.PutU8(1);
+  w.PutU8(1);
+  w.PutVarint(entries.size());
+  for (const auto& [delta, value] : entries) {
+    w.PutVarint(delta);
+    w.PutU8(value);
+  }
+  return w.bytes();
+}
+
+// Exact AggState (tag 0) with the given quad.
+std::vector<uint8_t> ExactStatePayload(double sum, int64_t count, double min,
+                                       double max) {
+  Writer w;
+  w.PutU8(kStateTagExact);
+  w.PutDouble(sum);
+  w.PutI64(count);
+  w.PutDouble(min);
+  w.PutDouble(max);
+  return w.bytes();
+}
+
 TEST(SketchCodecTest, UnknownTagIsParseErrorNotCrash) {
   // Well-formed framing around meaningless content must be rejected too:
   // a decoded state that finalizes to garbage is worse than a parse error.
@@ -336,6 +375,16 @@ TEST(SketchCodecTest, UnknownTagIsParseErrorNotCrash) {
       {"top-k count above INT64_MAX", kStateTagTopK,
        TopKPayload(uint64_t{1} << 63)},
       {"top-k count UINT64_MAX", kStateTagTopK, TopKPayload(UINT64_MAX)},
+      // HLL registers hold ranks 1..64-p+1 = 53 (0 = unset, never sent
+      // sparse); sparse indices strictly increase inside the array.
+      {"HLL dense register above max rank", kStateTagHll, HllDensePayload(54)},
+      {"HLL sparse zero register", kStateTagHll, HllSparsePayload({{5, 0}})},
+      {"HLL sparse register above max rank", kStateTagHll,
+       HllSparsePayload({{5, 54}})},
+      {"HLL sparse index wraps around", kStateTagHll,
+       HllSparsePayload({{5, 1}, {UINT64_MAX - 2, 1}})},
+      {"HLL sparse index repeated", kStateTagHll,
+       HllSparsePayload({{5, 1}, {0, 2}})},
   };
   for (const Case& c : cases) {
     Reader r(c.payload);
@@ -345,15 +394,35 @@ TEST(SketchCodecTest, UnknownTagIsParseErrorNotCrash) {
       EXPECT_TRUE(decoded.status().IsParseError()) << c.what;
     }
   }
+  // The exact quad is checked for meaning too.
+  const std::pair<const char*, std::vector<uint8_t>> bad_states[] = {
+      {"negative count", ExactStatePayload(1, -1, 1, 1)},
+      {"NaN sum", ExactStatePayload(kNan, 1, 1, 1)},
+      {"NaN min", ExactStatePayload(1, 1, kNan, 1)},
+      {"NaN max", ExactStatePayload(1, 1, 1, kNan)},
+  };
+  for (const auto& [what, payload] : bad_states) {
+    Reader r(payload);
+    auto decoded = AggState::Decode(r);
+    EXPECT_FALSE(decoded.ok()) << what;
+    if (!decoded.ok()) {
+      EXPECT_TRUE(decoded.status().IsParseError()) << what;
+    }
+  }
   // The same framing with meaningful content decodes: the rejections above
   // are about the values, not the layout.
   for (const auto& [tag, payload] :
        {std::pair{kStateTagQuantile, QuantilePayload(5, 2)},
-        std::pair{kStateTagTopK, TopKPayload(INT64_MAX)}}) {
+        std::pair{kStateTagTopK, TopKPayload(INT64_MAX)},
+        std::pair{kStateTagHll, HllDensePayload(HllSketch::kMaxRank)},
+        std::pair{kStateTagHll, HllSparsePayload({{0, 1}, {4095, 53}})}}) {
     Reader r(payload);
     auto decoded = DecodeSketchState(tag, r);
     EXPECT_TRUE(decoded.ok()) << decoded.status();
   }
+  const std::vector<uint8_t> empty = ExactStatePayload(0, 0, kInf, -kInf);
+  Reader r(empty);
+  EXPECT_TRUE(AggState::Decode(r).ok());
 }
 
 TEST(SketchCodecTest, AggStateCarriesSketchThroughWire) {
@@ -378,34 +447,34 @@ TEST(SketchCodecTest, AggStateCarriesSketchThroughWire) {
   EXPECT_EQ(exact_back->sketch, nullptr);
 }
 
-// --- Engine integration: batch vs scalar, grouped and ungrouped ---
+// --- Engine integration: sketch contracts against SQLite truth ---
 
-void ExpectEnginesAgree(const Table& t, const char* sql) {
+void ExpectMeetsSqliteTruth(const Table& t, const char* sql) {
   auto q = ParseSelect(sql);
   ASSERT_TRUE(q.ok()) << sql << ": " << q.status();
   auto batch = ExecuteAggregate(t, *q);
-  auto scalar = ExecuteAggregateScalar(t, *q);
   ASSERT_TRUE(batch.ok()) << sql << ": " << batch.status();
-  ASSERT_TRUE(scalar.ok()) << sql << ": " << scalar.status();
-  EXPECT_TRUE(*batch == *scalar) << sql;
+  SqliteOracle oracle;
+  oracle.Load(t, q->table);
+  EXPECT_TRUE(oracle.Check(*q, *batch)) << sql;
 }
 
-TEST(SketchEngineTest, BatchMatchesScalarForSketchQueries) {
+TEST(SketchEngineTest, BatchMeetsSketchContractsAgainstSqlite) {
   auto t = MakeTable(20000, 11, 5000);
-  ExpectEnginesAgree(*t, "SELECT DISTINCT_APPROX(port) FROM t");
-  ExpectEnginesAgree(*t, "SELECT DISTINCT_APPROX(app) FROM t");
-  ExpectEnginesAgree(*t, "SELECT QUANTILE(bytes, 0.9) FROM t");
-  ExpectEnginesAgree(*t, "SELECT TOPK(app, 3) FROM t");
-  ExpectEnginesAgree(*t, "SELECT TOPK(port, 5) FROM t WHERE bytes < 50000");
-  ExpectEnginesAgree(*t,
-                     "SELECT COUNT(*), DISTINCT_APPROX(port), "
-                     "QUANTILE(ratio, 0.5) FROM t WHERE port < 2500");
-  ExpectEnginesAgree(*t,
-                     "SELECT app, COUNT(*), DISTINCT_APPROX(port) "
-                     "FROM t GROUP BY app");
-  ExpectEnginesAgree(*t,
-                     "SELECT QUANTILE(bytes, 0.75), TOPK(app, 2) "
-                     "FROM t GROUP BY port");
+  ExpectMeetsSqliteTruth(*t, "SELECT DISTINCT_APPROX(port) FROM t");
+  ExpectMeetsSqliteTruth(*t, "SELECT DISTINCT_APPROX(app) FROM t");
+  ExpectMeetsSqliteTruth(*t, "SELECT QUANTILE(bytes, 0.9) FROM t");
+  ExpectMeetsSqliteTruth(*t, "SELECT TOPK(app, 3) FROM t");
+  ExpectMeetsSqliteTruth(*t, "SELECT TOPK(port, 5) FROM t WHERE bytes < 50000");
+  ExpectMeetsSqliteTruth(*t,
+                         "SELECT COUNT(*), DISTINCT_APPROX(port), "
+                         "QUANTILE(ratio, 0.5) FROM t WHERE port < 2500");
+  ExpectMeetsSqliteTruth(*t,
+                         "SELECT app, COUNT(*), DISTINCT_APPROX(port) "
+                         "FROM t GROUP BY app");
+  ExpectMeetsSqliteTruth(*t,
+                         "SELECT QUANTILE(bytes, 0.75), TOPK(app, 2) "
+                         "FROM t GROUP BY port");
 }
 
 TEST(SketchEngineTest, SketchAnswersTrackExactGroundTruth) {

@@ -569,15 +569,24 @@ TEST(DoublePropertyTest, SpecialValuesPreserveBits) {
   }
 }
 
-TEST(DoublePropertyTest, NaNResultSurvivesMessageFixpoint) {
-  // NaN != NaN, so fixpoint is asserted on bytes, not values.
+TEST(DoublePropertyTest, NaNResultIsRejectedOnDecode) {
+  // Infinities and signed zeros are meaningful in an aggregate state (an
+  // empty state carries min=+inf, max=-inf) and survive the message
+  // fixpoint bit for bit. A NaN never is: the decoder rejects it rather
+  // than hand a garbage state to the aggregation tree.
   SeaweedMessage msg;
   msg.kind = SeaweedMessage::Kind::kResultSubmit;
   msg.result.states.resize(1);
-  msg.result.states[0].sum = std::numeric_limits<double>::quiet_NaN();
   msg.result.states[0].min = -std::numeric_limits<double>::infinity();
   msg.result.states[0].max = -0.0;
   ExpectFixpoint(msg);
+
+  msg.result.states[0].sum = std::numeric_limits<double>::quiet_NaN();
+  std::vector<uint8_t> bytes = EncodeToBytes(msg);
+  Reader r(bytes);
+  auto decoded = DecodeWireMessage(r);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_TRUE(decoded.status().IsParseError()) << decoded.status();
 }
 
 // --- Randomized encode -> decode -> encode fixpoint ------------------------

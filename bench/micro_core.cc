@@ -315,10 +315,13 @@ SeaweedMessagePtr CodecBenchMessage(SeaweedMessage::Kind kind) {
       msg->result = CodecBenchResult();
       break;
     case SeaweedMessage::Kind::kVertexReplicate:
+      // One fold up a fan-in-1 run: each entry names its vertex, and each
+      // result after the first repeats the previous entry's.
       for (int i = 0; i < 4; ++i) {
-        msg->vertex_state.emplace_back(NodeId(7, static_cast<uint64_t>(i)),
-                                       static_cast<uint64_t>(i),
-                                       CodecBenchResult());
+        msg->replicas.push_back({NodeId(8, static_cast<uint64_t>(i)),
+                                 NodeId(7, static_cast<uint64_t>(i)),
+                                 static_cast<uint64_t>(i),
+                                 CodecBenchResult()});
       }
       break;
     case SeaweedMessage::Kind::kResultAck:

@@ -9,7 +9,8 @@
 # SEAWEED_SCALE_SMOKE=1 additionally runs the 10^5-endsystem scale smoke
 # with a wall-clock budget; CI's scale job sets it.
 # SEAWEED_LOAD_SMOKE=1 additionally runs the multi-tenant query-load smoke
-# (bench/query_load, capped rates) on both trees; CI's load job sets it.
+# (bench/query_load, capped rates) on both trees, and the answer-checked
+# perfbench query_mix on the default tree; CI's load job sets it.
 # SEAWEED_LIVE_CHAOS=1 additionally runs the process-level chaos harness
 # (scripts/live_chaos_test.sh: SIGKILL + --rejoin + client failover under a
 # faulty-udp plan) on the default tree; CI's live-chaos job sets it.
@@ -198,6 +199,20 @@ load_smoke() {
   echo "raw JSON converts cleanly"
 }
 
+# Answer-checked query mix: perfbench/run.py builds its own default
+# (RelWithDebInfo) tree under .bench_build/, checks every answer against
+# the per-endsystem oracle and exits non-zero on any wrong or missing one.
+perfbench_smoke() {
+  local out="$1/perfbench_query_mix.out"
+  echo "--- perfbench query_mix smoke (answers checked) ---"
+  python3 perfbench/run.py --workload query_mix --seconds 5 > "$out" || {
+    echo "FAIL: perfbench query_mix reported a wrong answer or failed" >&2
+    tail -5 "$out" >&2 || true
+    exit 1
+  }
+  tail -1 "$out"
+}
+
 echo "=== default build (RelWithDebInfo) ==="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$(nproc)"
@@ -211,6 +226,7 @@ if [[ "${SEAWEED_SCALE_SMOKE:-0}" == "1" ]]; then
 fi
 if [[ "${SEAWEED_LOAD_SMOKE:-0}" == "1" ]]; then
   load_smoke build "" 120
+  perfbench_smoke build
 fi
 if [[ "${SEAWEED_LIVE_CHAOS:-0}" == "1" ]]; then
   live_chaos build 19900

@@ -1,6 +1,7 @@
 #include "db/query_exec.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/logging.h"
@@ -225,6 +226,18 @@ bool AggState::operator==(const AggState& other) const {
   return sketch == nullptr || sketch->Equals(*other.sketch);
 }
 
+bool AggState::Identical(const AggState& other) const {
+  auto bits = [](double d) { return std::bit_cast<uint64_t>(d); };
+  if (bits(sum) != bits(other.sum) || count != other.count ||
+      bits(min) != bits(other.min) || bits(max) != bits(other.max)) {
+    return false;
+  }
+  if (sketch == nullptr || other.sketch == nullptr) {
+    return sketch == other.sketch;
+  }
+  return sketch->tag() == other.sketch->tag() && sketch->Equals(*other.sketch);
+}
+
 void AggState::Encode(Writer& w) const {
   // Tag byte first: 0 = exact quad only, nonzero = a sketch payload of
   // that type follows the quad (see db/sketch.h for the tag registry).
@@ -297,6 +310,28 @@ const std::vector<AggState>* AggregateResult::FindGroup(
   return &it->second;
 }
 
+bool AggregateResult::Identical(const AggregateResult& other) const {
+  auto same_states = [](const std::vector<AggState>& a,
+                        const std::vector<AggState>& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const AggState& x, const AggState& y) {
+                        return x.Identical(y);
+                      });
+  };
+  if (rows_matched != other.rows_matched || endsystems != other.endsystems ||
+      groups.size() != other.groups.size() ||
+      !same_states(states, other.states)) {
+    return false;
+  }
+  for (size_t i = 0; i < groups.size(); ++i) {
+    if (!groups[i].first.Identical(other.groups[i].first) ||
+        !same_states(groups[i].second, other.groups[i].second)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 void AggregateResult::Encode(Writer& w) const {
   w.PutVarint(states.size());
   for (const auto& s : states) s.Encode(w);
@@ -323,8 +358,17 @@ Result<AggregateResult> AggregateResult::Decode(Reader& r) {
   if (ng > 1000000) return Status::ParseError("implausible group count");
   for (uint64_t g = 0; g < ng; ++g) {
     SEAWEED_ASSIGN_OR_RETURN(Value key, Value::Decode(r));
+    // GroupStates/FindGroup binary-search the keys: an unsorted or repeated
+    // key would be counted twice by the next Merge.
+    if (!out.groups.empty() && !(out.groups.back().first < key)) {
+      return Status::ParseError("group keys not strictly increasing");
+    }
     SEAWEED_ASSIGN_OR_RETURN(uint64_t arity, r.GetVarint());
     if (arity > 1024) return Status::ParseError("implausible group arity");
+    // Merge requires one arity across groups.
+    if (!out.groups.empty() && arity != out.groups.front().second.size()) {
+      return Status::ParseError("group arity differs between groups");
+    }
     std::vector<AggState> group_states;
     group_states.reserve(arity);
     for (uint64_t i = 0; i < arity; ++i) {

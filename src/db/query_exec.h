@@ -128,6 +128,8 @@ struct AggState {
   static Result<AggState> Decode(Reader& r);
 
   bool operator==(const AggState& other) const;
+  // Same bits, so the encodings match (operator== equates -0.0 with 0.0).
+  bool Identical(const AggState& other) const;
 };
 
 // The distributed result unit: one AggState per select item plus the count
@@ -162,6 +164,9 @@ struct AggregateResult {
   size_t SketchStateBytes() const;
 
   bool operator==(const AggregateResult&) const = default;
+  // Equal in representation, not just in meaning: identical results encode
+  // to the same bytes (operator== equates 3 with 3.0 and -0.0 with 0.0).
+  bool Identical(const AggregateResult& other) const;
 };
 
 // An aggregate query fully bound against one table: batch predicate plus

@@ -211,7 +211,13 @@ std::unique_ptr<SketchState> QuantileSketch::Clone() const {
 }
 
 bool QuantileSketch::Equals(const SketchState& other) const {
-  return pts_ == static_cast<const QuantileSketch&>(other).pts_;
+  const auto& o = static_cast<const QuantileSketch&>(other).pts_;
+  auto bits = [](double d) { return std::bit_cast<uint64_t>(d); };
+  return std::equal(pts_.begin(), pts_.end(), o.begin(), o.end(),
+                    [&](const auto& a, const auto& b) {
+                      return bits(a.first) == bits(b.first) &&
+                             bits(a.second) == bits(b.second);
+                    });
 }
 
 double QuantileSketch::total_weight() const {
@@ -357,7 +363,7 @@ bool TopKSketch::Equals(const SketchState& other) const {
     return false;
   }
   for (size_t i = 0; i < counts_.size(); ++i) {
-    if (!KeyEq(counts_[i].first, o.counts_[i].first) ||
+    if (!counts_[i].first.Identical(o.counts_[i].first) ||
         counts_[i].second != o.counts_[i].second) {
       return false;
     }

@@ -60,6 +60,7 @@ class SketchState {
   // Payload only (no tag byte — AggState writes that); starts with a
   // version byte so payloads can evolve.
   virtual void Encode(Writer& w) const = 0;
+  // Same state bit for bit, so equal sketches encode to the same bytes.
   virtual bool Equals(const SketchState& other) const = 0;
   size_t EncodedBytes() const;
 };

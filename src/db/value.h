@@ -6,6 +6,7 @@
 // doubles, and strings.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <variant>
@@ -46,6 +47,16 @@ class Value {
   int Compare(const Value& other) const;
 
   bool operator==(const Value& other) const { return Compare(other) == 0; }
+  // Same type and same bits, so the encodings match: unlike operator==,
+  // 3 differs from 3.0 and -0.0 from 0.0.
+  bool Identical(const Value& other) const {
+    if (v_.index() != other.v_.index()) return false;
+    if (is_double()) {
+      return std::bit_cast<uint64_t>(AsDouble()) ==
+             std::bit_cast<uint64_t>(other.AsDouble());
+    }
+    return v_ == other.v_;
+  }
 
   std::string ToString() const;
 

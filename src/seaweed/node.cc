@@ -45,6 +45,8 @@ SeaweedNode::SeaweedNode(overlay::OverlayNetwork* overlay,
       reg->GetCounter("seaweed.vertex_repropagations");
   metrics_.vertex_fn_invocations =
       reg->GetCounter("seaweed.vertex_fn_invocations");
+  metrics_.vertex_replicate_msgs =
+      reg->GetCounter("seaweed.vertex_replicate_msgs");
   metrics_.leaf_retries = reg->GetCounter("seaweed.leaf_retries");
   metrics_.leaf_giveups = reg->GetCounter("seaweed.leaf_giveups");
   metrics_.vertex_retries = reg->GetCounter("seaweed.vertex_retries");
@@ -131,7 +133,10 @@ void SeaweedNode::OnJoined() {
     own_model_.RecordDownPeriod(went_down_at_, now);
     went_down_at_ = -1;
   }
-  ++generation_;
+  // No generation bump: OnStopping already retired the previous life's
+  // timers, and a bump here would also kill timers armed by messages that
+  // arrived while joining, leaving their "scheduled" flags set forever (a
+  // restarted vertex primary would never send again).
   uint64_t gen = generation_;
 
   // Replicate our metadata right away (§3.2.2: pushed on (re)join), then
@@ -1356,6 +1361,16 @@ db::AggregateResult SeaweedNode::MergedVertexResult(
 
 void SeaweedNode::HandleResultSubmit(const NodeHandle& from,
                                      const SeaweedMessagePtr& msg) {
+  // One submit can fold a whole run of local vertices (PropagateVertex
+  // re-enters here for a local parent). Their replica entries leave as one
+  // kVertexReplicate per backup when the outermost submit returns.
+  ++fold_depth_;
+  FoldResultSubmit(from, msg);
+  if (--fold_depth_ == 0) FlushReplicaBatches();
+}
+
+void SeaweedNode::FoldResultSubmit(const NodeHandle& from,
+                                   const SeaweedMessagePtr& msg) {
   const NodeId& vertex = msg->vertex_id;
   // If our view says someone else is closer to the vertexId, hand it over —
   // unless we already forwarded this exact submission moments ago. A repeat
@@ -1412,25 +1427,76 @@ void SeaweedNode::HandleResultSubmit(const NodeHandle& from,
     ack->version = msg->version;
     SendSeaweed(from, ack, TrafficCategory::kResult);
   }
-  if (!updated) return;
-
-  ReplicateVertex(aq, vertex, msg->child_key);
-
-  if (!state.send_scheduled) {
-    state.send_scheduled = true;
-    uint64_t gen = generation_;
-    NodeId qid = msg->query_id;
-    sim()->After(config_.result_deliver_debounce, [this, gen, qid, vertex] {
-      if (gen != generation_) return;
-      PropagateVertex(qid, vertex);
-    });
+  // A duplicate at a vertex we never folded means we hold it as a backup
+  // copy and have just become its primary: the old primary may have died
+  // before sending it upward, so it propagates anyway.
+  const bool took_over = !state.primary_folded;
+  state.primary_folded = true;
+  if (updated) {
+    ReplicateVertex(msg->query_id, vertex, state, msg->child_key);
+  } else if (!took_over) {
+    return;
   }
   ScheduleVertexRepropagation(msg->query_id, vertex);
+  ForwardVertex(msg->query_id, vertex, state);
 }
 
-void SeaweedNode::ReplicateVertex(ActiveQuery& aq, const NodeId& vertex_id,
+void SeaweedNode::ForwardVertex(const NodeId& query_id,
+                                const NodeId& vertex_id, VertexState& state) {
+  // A parent we are primary for folds at once: the run of vertices next to
+  // the queryId that one node owns costs one step, not one debounce each.
+  if (vertex_id != query_id &&
+      IsLikelyRootFor(VertexParent(query_id, vertex_id, pastry_->config().b))) {
+    PropagateVertex(query_id, vertex_id);
+    return;
+  }
+  // The result leaves the node (remote parent, or root -> origin): a
+  // leading-edge throttle sends the first update at once and then at most
+  // one per result_deliver_debounce, carrying whatever arrived meanwhile.
+  if (state.send_scheduled) return;
+  if (sim()->Now() >= state.next_send_at) {
+    PropagateVertex(query_id, vertex_id);
+    return;
+  }
+  state.send_scheduled = true;
+  uint64_t gen = generation_;
+  sim()->At(state.next_send_at, [this, gen, query_id, vertex_id] {
+    if (gen != generation_) return;
+    PropagateVertex(query_id, vertex_id);
+  });
+}
+
+bool SeaweedNode::LocalParentHoldsCurrent(const ActiveQuery& aq,
+                                          const NodeId& vertex_id,
+                                          const VertexState& state) const {
+  const NodeId& query_id = aq.query.query_id;
+  if (vertex_id == query_id) return false;
+  NodeId parent = VertexParent(query_id, vertex_id, pastry_->config().b);
+  if (!IsLikelyRootFor(parent)) return false;
+  auto pit = aq.vertices.find(parent);
+  // A parent we folded as its primary refreshes itself, carrying the run
+  // upward. A parent held only as a backup copy (we took over after
+  // failover) needs a fresh version from us to start propagating.
+  if (pit == aq.vertices.end() || !pit->second.primary_folded) {
+    return false;
+  }
+  auto child = pit->second.children.find(vertex_id);
+  return child != pit->second.children.end() &&
+         child->second.first == state.version;
+}
+
+void SeaweedNode::FlushReplicaBatches() {
+  std::vector<ReplicaBatch> batches;
+  batches.swap(replica_batches_);
+  for (const ReplicaBatch& batch : batches) {
+    metrics_.vertex_replicate_msgs->Add();
+    SendSeaweed(batch.backup, batch.msg, TrafficCategory::kResult);
+  }
+}
+
+void SeaweedNode::ReplicateVertex(const NodeId& query_id,
+                                  const NodeId& vertex_id, VertexState& state,
                                   const NodeId& changed_child) {
-  VertexState& state = aq.vertices[vertex_id];
   auto child = state.children.find(changed_child);
   if (child == state.children.end()) return;
   // Replicas: the m leafset members closest to the vertexId. A backup that
@@ -1448,29 +1514,29 @@ void SeaweedNode::ReplicateVertex(ActiveQuery& aq, const NodeId& vertex_id,
   int m = std::min<int>(config_.vertex_backups,
                         static_cast<int>(members.size()));
 
-  auto delta = std::make_shared<SeaweedMessage>();
-  delta->kind = SeaweedMessage::Kind::kVertexReplicate;
-  delta->query_id = aq.query.query_id;
-  delta->vertex_id = vertex_id;
-  delta->vertex_state.emplace_back(changed_child, child->second.first,
-                                   child->second.second);
-  SeaweedMessagePtr full;  // built lazily
   for (int i = 0; i < m; ++i) {
     const NodeHandle& backup = members[static_cast<size_t>(i)];
+    // Entries join the backup's batch for the fold in progress.
+    auto batch = std::find_if(
+        replica_batches_.begin(), replica_batches_.end(),
+        [&](const ReplicaBatch& b) {
+          return b.backup.id == backup.id && b.msg->query_id == query_id;
+        });
+    if (batch == replica_batches_.end()) {
+      auto msg = std::make_shared<SeaweedMessage>();
+      msg->kind = SeaweedMessage::Kind::kVertexReplicate;
+      msg->query_id = query_id;
+      batch = replica_batches_.insert(replica_batches_.end(), {backup, msg});
+    }
+    auto& entries = batch->msg->replicas;
     if (state.synced_backups.count(backup.id)) {
-      SendSeaweed(backup, delta, TrafficCategory::kResult);
+      entries.push_back({vertex_id, changed_child, child->second.first,
+                         child->second.second});
       continue;
     }
-    if (!full) {
-      full = std::make_shared<SeaweedMessage>();
-      full->kind = SeaweedMessage::Kind::kVertexReplicate;
-      full->query_id = aq.query.query_id;
-      full->vertex_id = vertex_id;
-      for (const auto& [key, entry] : state.children) {
-        full->vertex_state.emplace_back(key, entry.first, entry.second);
-      }
+    for (const auto& [key, entry] : state.children) {
+      entries.push_back({vertex_id, key, entry.first, entry.second});
     }
-    SendSeaweed(backup, full, TrafficCategory::kResult);
     state.synced_backups.insert(backup.id);
   }
 }
@@ -1491,8 +1557,11 @@ void SeaweedNode::ScheduleVertexRepropagation(const NodeId& query_id,
     auto vit = it2->second.vertices.find(vertex_id);
     if (vit == it2->second.vertices.end()) return;
     vit->second.repropagate_scheduled = false;
-    // Only the current primary speaks for the vertex.
-    if (IsLikelyRootFor(vertex_id)) {
+    // Only the current primary speaks for the vertex. A local parent that
+    // already holds our current version needs nothing: re-sending would
+    // bump every vertex above us in the run, once per vertex timer.
+    if (IsLikelyRootFor(vertex_id) &&
+        !LocalParentHoldsCurrent(it2->second, vertex_id, vit->second)) {
       metrics_.vertex_repropagations->Add();
       PropagateVertex(query_id, vertex_id);
     }
@@ -1524,6 +1593,7 @@ void SeaweedNode::PropagateVertex(const NodeId& query_id,
 
   if (vertex_id == query_id) {
     // Root vertex: deliver the incremental result to the query origin.
+    state.next_send_at = sim()->Now() + config_.result_deliver_debounce;
     if (aq.is_origin && aq.observer.on_result) {
       if (aq.result_span != obs::kNoSpan) {
         tracer_->EndSpan(aq.result_span, sim()->Now());
@@ -1558,7 +1628,12 @@ void SeaweedNode::PropagateVertex(const NodeId& query_id,
   msg->query_id = query_id;
   msg->vertex_id = parent;
   msg->child_key = vertex_id;
-  msg->version = ++state.version;
+  // Versions are seeded from the clock: a node that takes the vertex over
+  // after failover must outrank every version the old primary sent, or the
+  // parent would drop its submissions as stale.
+  state.version =
+      std::max(state.version + 1, static_cast<uint64_t>(sim()->Now()));
+  msg->version = state.version;
   msg->result = merged;
   if (IsLikelyRootFor(parent)) {
     state.pending_version = 0;
@@ -1569,6 +1644,7 @@ void SeaweedNode::PropagateVertex(const NodeId& query_id,
     // a fresh version, so dedup at the parent keeps them exactly-once.
     ++state.submit_tries;
     state.pending_version = msg->version;
+    state.next_send_at = sim()->Now() + config_.result_deliver_debounce;
     RouteSeaweed(parent, msg, TrafficCategory::kResult);
     ChargeQueryTx(aq, msg->WireBytes());
     ArmVertexAckTimeout(query_id, vertex_id, msg->version,
@@ -1686,11 +1762,11 @@ void SeaweedNode::OnAppMessage(const NodeHandle& from, bool routed,
         active_[msg->query_id] = std::move(aq);
         it = active_.find(msg->query_id);
       }
-      VertexState& state = it->second.vertices[msg->vertex_id];
-      for (const auto& [child_key, version, result] : msg->vertex_state) {
-        auto c = state.children.find(child_key);
-        if (c == state.children.end() || c->second.first < version) {
-          state.children[child_key] = {version, result};
+      for (const auto& entry : msg->replicas) {
+        VertexState& state = it->second.vertices[entry.vertex_id];
+        auto c = state.children.find(entry.child_key);
+        if (c == state.children.end() || c->second.first < entry.version) {
+          state.children[entry.child_key] = {entry.version, entry.result};
         }
       }
       break;

@@ -201,12 +201,20 @@ class SeaweedNode : public overlay::PastryApp {
   struct VertexState {
     std::map<NodeId, std::pair<uint64_t, db::AggregateResult>> children;
     uint64_t version = 0;         // our version as a child of our parent
+    // Leading-edge throttle on sends that leave the node: the earliest time
+    // the next one may go, and whether a trailing send is armed for it.
+    SimTime next_send_at = 0;
     bool send_scheduled = false;
     // Backups known to hold this vertex's full state; others get a full
     // sync before deltas (a delta-only backup would reconstruct a partial
     // subtree after primary failover).
     std::set<NodeId> synced_backups;
     bool repropagate_scheduled = false;
+    // We have folded a submit for this vertex as its primary (a copy held
+    // only as a backup has not). Failover reads it: a duplicate at a vertex
+    // we never folded means we just took it over, and a local parent we
+    // never folded needs a fresh version from us to start propagating.
+    bool primary_folded = false;
     // Upward-submit ack tracking: the version sent to our parent and not
     // yet acked (0 = nothing outstanding), and how many timeouts in a row
     // have fired for it.
@@ -225,7 +233,10 @@ class SeaweedNode : public overlay::PastryApp {
   struct ActiveQuery {
     Query query;
     std::map<std::string, RangeTask> tasks;
-    std::map<NodeId, VertexState> vertices;
+    // Hashed: the primary of the run next to the queryId holds about D
+    // vertices per contributing endsystem. References stay valid across
+    // rehash, which the recursive fold relies on.
+    std::unordered_map<NodeId, VertexState, NodeIdHash> vertices;
     PendingSubmit leaf;           // our own contribution
     bool executed = false;
     // Origin-side state (only on the injecting endsystem).
@@ -320,6 +331,12 @@ class SeaweedNode : public overlay::PastryApp {
   void RetryLeafSubmit(const NodeId& query_id, uint64_t version);
   void HandleResultSubmit(const overlay::NodeHandle& from,
                           const SeaweedMessagePtr& msg);
+  void FoldResultSubmit(const overlay::NodeHandle& from,
+                        const SeaweedMessagePtr& msg);
+  // After a vertex's children changed: folds into a local parent at once,
+  // and throttles a send that leaves the node.
+  void ForwardVertex(const NodeId& query_id, const NodeId& vertex_id,
+                     VertexState& state);
   void PropagateVertex(const NodeId& query_id, const NodeId& vertex_id);
   // Arms the ack timeout for an interior submit of `version`; on expiry the
   // vertex re-propagates (with a fresh version) up to max_result_retries
@@ -330,8 +347,15 @@ class SeaweedNode : public overlay::PastryApp {
   // primary failover anywhere above us within one refresh period.
   void ScheduleVertexRepropagation(const NodeId& query_id,
                                    const NodeId& vertex_id);
-  void ReplicateVertex(ActiveQuery& aq, const NodeId& vertex_id,
-                       const NodeId& changed_child);
+  // Refresh gate: true when the vertex's parent is local, primary-owned
+  // here and already holds the vertex's current version.
+  bool LocalParentHoldsCurrent(const ActiveQuery& aq, const NodeId& vertex_id,
+                               const VertexState& state) const;
+  // Queues the changed child (or, for a backup not yet synced, the full
+  // state) into the fold's per-backup replica batches.
+  void ReplicateVertex(const NodeId& query_id, const NodeId& vertex_id,
+                       VertexState& state, const NodeId& changed_child);
+  void FlushReplicaBatches();
   db::AggregateResult MergedVertexResult(const VertexState& state) const;
 
   // --- Query lifecycle ---
@@ -367,6 +391,7 @@ class SeaweedNode : public overlay::PastryApp {
     obs::Counter* vertex_handovers;
     obs::Counter* vertex_repropagations;
     obs::Counter* vertex_fn_invocations;
+    obs::Counter* vertex_replicate_msgs;
     obs::Counter* leaf_retries;
     obs::Counter* leaf_giveups;
     obs::Counter* vertex_retries;
@@ -426,6 +451,14 @@ class SeaweedNode : public overlay::PastryApp {
   // leafsets disagree about vertex ownership mid-repair.
   std::map<std::tuple<NodeId, NodeId, NodeId, uint64_t>, SimTime>
       recent_handovers_;
+  // Replica batches of the fold in progress, one kVertexReplicate per
+  // (query, backup); sent when the outermost HandleResultSubmit returns.
+  struct ReplicaBatch {
+    overlay::NodeHandle backup;
+    SeaweedMessagePtr msg;
+  };
+  std::vector<ReplicaBatch> replica_batches_;
+  int fold_depth_ = 0;
   uint64_t generation_ = 0;
   Rng rng_;
 };

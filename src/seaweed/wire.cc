@@ -7,6 +7,15 @@ namespace seaweed {
 
 namespace {
 
+// kVertexReplicate entry flag: the result encodes to the same bytes as the
+// previous entry's.
+constexpr uint8_t kReplicaSameResult = 1;
+// Result bytes one kVertexReplicate may expand to through repeats, counting
+// each repeat at the size of the result it copies (the socket transport's
+// message cap). Without it, a small crafted message could decode into ~10^5
+// copies of one large result. The encoder spells results out past it.
+constexpr size_t kMaxReplicaResultBytes = 8 << 20;
+
 [[maybe_unused]] const bool kSeaweedMessageRegistered = [] {
   RegisterWireDecoder(SeaweedMessage::kWireType, &SeaweedMessage::Decode);
   return true;
@@ -54,16 +63,32 @@ void SeaweedMessage::EncodeBody(Writer& w) const {
       w.PutNodeId(child_key);
       w.PutU64(version);
       break;
-    case Kind::kVertexReplicate:
+    case Kind::kVertexReplicate: {
       w.PutNodeId(query_id);
-      w.PutNodeId(vertex_id);
-      w.PutVarint(vertex_state.size());
-      for (const auto& [child, ver, res] : vertex_state) {
-        w.PutNodeId(child);
-        w.PutU64(ver);
-        res.Encode(w);
+      w.PutVarint(replicas.size());
+      // Repeats need AggregateResult::Identical, not operator== (which
+      // equates 3 with 3.0 and -0.0 with 0.0), so decoding is exact.
+      const db::AggregateResult* spelled = nullptr;  // last sent in full
+      size_t spelled_bytes = 0;
+      size_t expanded = 0;
+      for (const ReplicaEntry& e : replicas) {
+        const bool same = spelled != nullptr &&
+                          expanded + spelled_bytes <= kMaxReplicaResultBytes &&
+                          e.result.Identical(*spelled);
+        w.PutU8(same ? kReplicaSameResult : 0);
+        w.PutNodeId(e.vertex_id);
+        w.PutNodeId(e.child_key);
+        w.PutU64(e.version);
+        if (!same) {
+          const size_t before = w.size();
+          e.result.Encode(w);
+          spelled = &e.result;
+          spelled_bytes = w.size() - before;
+        }
+        expanded += spelled_bytes;
       }
       break;
+    }
     case Kind::kQueryListRequest:
       break;
     case Kind::kQueryList:
@@ -111,10 +136,15 @@ Result<WireMessagePtr> SeaweedMessage::Decode(Reader& r) {
       if (n > r.remaining()) {
         return Status::ParseError("broadcast query count exceeds buffer");
       }
+      // The handler activates queries[0] under query_id.
+      if (n == 0) return Status::ParseError("broadcast carries no query");
       msg->queries.reserve(static_cast<size_t>(n));
       for (uint64_t i = 0; i < n; ++i) {
         SEAWEED_ASSIGN_OR_RETURN(Query q, Query::Decode(r));
         msg->queries.push_back(std::move(q));
+      }
+      if (msg->queries[0].query_id != msg->query_id) {
+        return Status::ParseError("broadcast query id mismatch");
       }
       break;
     }
@@ -150,19 +180,39 @@ Result<WireMessagePtr> SeaweedMessage::Decode(Reader& r) {
     }
     case Kind::kVertexReplicate: {
       SEAWEED_ASSIGN_OR_RETURN(msg->query_id, r.GetNodeId());
-      SEAWEED_ASSIGN_OR_RETURN(msg->vertex_id, r.GetNodeId());
       SEAWEED_ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
-      // Entries are ≥24 wire bytes each (child id + version).
-      if (n > r.remaining() / 24) {
-        return Status::ParseError("vertex state count exceeds buffer");
+      // Entries are ≥41 wire bytes each (flags + two ids + version).
+      if (n > r.remaining() / 41) {
+        return Status::ParseError("replica entry count exceeds buffer");
       }
-      msg->vertex_state.reserve(static_cast<size_t>(n));
+      msg->replicas.reserve(static_cast<size_t>(n));
+      size_t prev_bytes = 0;  // encoded size of the last spelled-out result
+      size_t expanded = 0;
       for (uint64_t i = 0; i < n; ++i) {
-        SEAWEED_ASSIGN_OR_RETURN(NodeId child, r.GetNodeId());
-        SEAWEED_ASSIGN_OR_RETURN(uint64_t ver, r.GetU64());
-        SEAWEED_ASSIGN_OR_RETURN(db::AggregateResult res,
-                                 db::AggregateResult::Decode(r));
-        msg->vertex_state.emplace_back(child, ver, std::move(res));
+        SEAWEED_ASSIGN_OR_RETURN(uint8_t flags, r.GetU8());
+        if ((flags & ~kReplicaSameResult) != 0) {
+          return Status::ParseError("unknown replica entry flags");
+        }
+        const bool same = flags == kReplicaSameResult;
+        if (same && i == 0) {
+          return Status::ParseError("first replica entry repeats a result");
+        }
+        if (same && expanded + prev_bytes > kMaxReplicaResultBytes) {
+          return Status::ParseError("replica repeats expand past the limit");
+        }
+        ReplicaEntry e;
+        SEAWEED_ASSIGN_OR_RETURN(e.vertex_id, r.GetNodeId());
+        SEAWEED_ASSIGN_OR_RETURN(e.child_key, r.GetNodeId());
+        SEAWEED_ASSIGN_OR_RETURN(e.version, r.GetU64());
+        if (same) {
+          e.result = msg->replicas.back().result;
+        } else {
+          const size_t before = r.remaining();
+          SEAWEED_ASSIGN_OR_RETURN(e.result, db::AggregateResult::Decode(r));
+          prev_bytes = before - r.remaining();
+        }
+        expanded += prev_bytes;
+        msg->replicas.push_back(std::move(e));
       }
       break;
     }
@@ -197,6 +247,9 @@ Result<WireMessagePtr> SeaweedMessage::Decode(Reader& r) {
         SEAWEED_ASSIGN_OR_RETURN(e.query_id, r.GetNodeId());
         SEAWEED_ASSIGN_OR_RETURN(e.range, IdRange::Decode(r));
         SEAWEED_ASSIGN_OR_RETURN(e.query, Query::Decode(r));
+        if (e.query.query_id != e.query_id) {
+          return Status::ParseError("broadcast batch query id mismatch");
+        }
         msg->batch.push_back(std::move(e));
       }
       break;

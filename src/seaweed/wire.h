@@ -5,7 +5,6 @@
 
 #include <memory>
 #include <string>
-#include <tuple>
 #include <vector>
 
 #include "common/wire.h"
@@ -67,13 +66,26 @@ struct SeaweedMessage : WireMessage {
   // kPredictorReport / kPredictorDeliver
   CompletenessPredictor predictor;
 
-  // kResultSubmit / kResultAck / kVertexReplicate / kResultDeliver
+  // kResultSubmit / kResultAck / kResultDeliver
   NodeId vertex_id;
   NodeId child_key;
   uint64_t version = 0;
   db::AggregateResult result;
-  // kVertexReplicate: full vertex state.
-  std::vector<std::tuple<NodeId, uint64_t, db::AggregateResult>> vertex_state;
+
+  // kVertexReplicate: versioned child entries for a backup. One message
+  // carries every entry of one fold — a run of vertices the sender is
+  // primary for — so each entry names its vertex. On the wire, an entry
+  // whose result encodes to the previous entry's bytes (a fan-in-1 vertex)
+  // carries a flag instead of the result, within a bound on the decoded
+  // size.
+  struct ReplicaEntry {
+    NodeId vertex_id;
+    NodeId child_key;
+    uint64_t version = 0;
+    db::AggregateResult result;
+    bool operator==(const ReplicaEntry&) const = default;
+  };
+  std::vector<ReplicaEntry> replicas;
 
   uint8_t wire_type() const override { return kWireType; }
 

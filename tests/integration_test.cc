@@ -3,8 +3,12 @@
 // aggregation, over the simulated network.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "anemone/anemone.h"
 #include "seaweed/cluster_options.h"
+#include "seaweed/vertex_function.h"
 #include "trace/farsite_model.h"
 
 namespace seaweed {
@@ -300,6 +304,205 @@ TEST(IntegrationTest, QueriesUnderRealisticChurn) {
   // By 4 hours in, most endsystems that were ever up should have
   // contributed (origin stayed up or not, results persist in the tree).
   EXPECT_GT(cap.latest()->endsystems, n / 2);
+}
+
+// --- Run folding ------------------------------------------------------------
+//
+// Beyond the first level or two, V puts vertex ids next to the queryId, so
+// one node is primary for long runs of them. A run folds in one step; only
+// results that leave a node wait for result_deliver_debounce.
+
+uint64_t CounterValue(SeaweedCluster& cluster, const char* name) {
+  return cluster.obs().metrics.GetCounter(name)->value();
+}
+
+// The primary for `key` when every endsystem is up: the ring-closest id.
+int OwnerOf(SeaweedCluster& cluster, int n, const NodeId& key) {
+  int best = 0;
+  for (int e = 1; e < n; ++e) {
+    if (cluster.pastry_node(e)->id().RingDistanceTo(key) <
+        cluster.pastry_node(best)->id().RingDistanceTo(key)) {
+      best = e;
+    }
+  }
+  return best;
+}
+
+// Submits that leave a node on the way from `leaf` up to the root vertex.
+int RemoteHops(SeaweedCluster& cluster, int n, const NodeId& query_id,
+               int leaf) {
+  const int b = cluster.config().pastry.b;
+  int at = leaf;
+  int hops = 0;
+  for (NodeId v = cluster.pastry_node(leaf)->id(); v != query_id;) {
+    v = VertexParent(query_id, v, b);
+    const int owner = OwnerOf(cluster, n, v);
+    if (owner != at) ++hops;
+    at = owner;
+  }
+  return hops;
+}
+
+TEST(IntegrationTest, OwnedRunFoldsInOneStep) {
+  const int n = 48;
+  SeaweedCluster cluster(ToyConfig(n), MakeToyData(n));
+  cluster.BringUpAll();
+  cluster.sim().RunUntil(5 * kMinute);
+  ASSERT_EQ(cluster.CountJoined(), n);
+
+  Capture cap;
+  const SimTime inject_at = cluster.sim().Now();
+  auto qid = cluster.InjectQuery(0, "SELECT COUNT(*) FROM Flow",
+                                 cap.MakeObserver(&cluster.sim()));
+  ASSERT_TRUE(qid.ok());
+  cluster.sim().RunUntil(inject_at + 2 * kMinute);
+
+  SimTime full_at = -1;
+  for (const auto& [t, r] : cap.results) {
+    if (r.endsystems == n) {
+      full_at = t;
+      break;
+    }
+  }
+  ASSERT_GE(full_at, 0) << "no result covered every endsystem";
+  EXPECT_EQ(cap.latest()->rows_matched, 2 * ToyMatching(n));
+
+  // Full coverage within a few debounce periods of injection. Waiting one
+  // period per tree level took about 31 (D = 32 levels at b = 4).
+  const SimDuration debounce = cluster.config().seaweed.result_deliver_debounce;
+  EXPECT_LT(full_at - inject_at, 4 * debounce);
+
+  // One kVertexReplicate per backup per fold: a contribution costs
+  // vertex_backups messages where it lands and at each remote hop, not at
+  // every tree level.
+  int64_t bound = 0;
+  for (int e = 0; e < n; ++e) {
+    bound += cluster.config().seaweed.vertex_backups *
+             (RemoteHops(cluster, n, *qid, e) + 1);
+  }
+  const uint64_t replicate_msgs =
+      CounterValue(cluster, "seaweed.vertex_replicate_msgs");
+  EXPECT_GT(replicate_msgs, 0u);
+  EXPECT_LE(replicate_msgs, static_cast<uint64_t>(bound));
+}
+
+TEST(IntegrationTest, RefreshDoesNotCascadeDownAnOwnedRun) {
+  // Every vertex has its own refresh timer. If each re-sent to a local
+  // parent that already holds its version, a run of k vertices would fold
+  // O(k^2) times per period.
+  const int n = 48;
+  ClusterConfig cfg = ToyConfig(n);
+  cfg.seaweed.result_refresh_period = 15 * kSecond;
+  SeaweedCluster cluster(cfg, MakeToyData(n));
+  cluster.BringUpAll();
+  cluster.sim().RunUntil(5 * kMinute);
+  ASSERT_EQ(cluster.CountJoined(), n);
+
+  Capture cap;
+  auto qid = cluster.InjectQuery(0, "SELECT COUNT(*) FROM Flow",
+                                 cap.MakeObserver(&cluster.sim()),
+                                 /*ttl=*/48 * kHour);
+  ASSERT_TRUE(qid.ok());
+  cluster.sim().RunUntil(cluster.sim().Now() + 2 * kMinute);
+  ASSERT_NE(cap.latest(), nullptr);
+  ASSERT_EQ(cap.latest()->endsystems, n);
+
+  const uint64_t before = CounterValue(cluster, "seaweed.vertex_updates");
+  cluster.sim().RunUntil(cluster.sim().Now() + cfg.seaweed.result_refresh_period);
+  const uint64_t added =
+      CounterValue(cluster, "seaweed.vertex_updates") - before;
+  const int depth = 128 / cfg.pastry.b;
+  EXPECT_LE(added, static_cast<uint64_t>(n * (depth + 1)));
+  // Refreshes re-send, never re-count.
+  EXPECT_EQ(cap.latest()->endsystems, n);
+  EXPECT_EQ(cap.latest()->rows_matched, 2 * ToyMatching(n));
+}
+
+TEST(IntegrationTest, FoldedRunSurvivesPrimaryFailover) {
+  // Kill the primary of the run next to the queryId while leaves are still
+  // folding into it. The next-closest node holds backup copies but no
+  // refresh timers, and the old primary's versions are ahead of its own:
+  // it must still restart propagation and outrank the dead node's
+  // submissions, or the origin stalls at a partial count forever.
+  const int n = 48;
+  for (SimDuration kill_after : {1200 * kMillisecond, 2500 * kMillisecond}) {
+    SeaweedCluster cluster(ToyConfig(n), MakeToyData(n));
+    cluster.BringUpAll();
+    cluster.sim().RunUntil(5 * kMinute);
+    Capture cap;
+    const SimTime inject_at = cluster.sim().Now();
+    auto qid = cluster.InjectQuery(0, "SELECT COUNT(*) FROM Flow",
+                                   cap.MakeObserver(&cluster.sim()));
+    ASSERT_TRUE(qid.ok());
+    auto root = cluster.overlay().OracleRoot(*qid);
+    ASSERT_TRUE(root.has_value());
+    ASSERT_NE(root->address, 0u) << "the origin holds the observer";
+    cluster.sim().RunUntil(inject_at + kill_after);
+    cluster.BringDown(static_cast<int>(root->address));
+
+    // Repaired within one refresh period. The dead node's own contribution
+    // was replicated with the fold that counted it, so it stays counted.
+    cluster.sim().RunUntil(cluster.sim().Now() +
+                           cluster.config().seaweed.result_refresh_period +
+                           kMinute);
+    ASSERT_NE(cap.latest(), nullptr);
+    EXPECT_EQ(cap.latest()->endsystems, n) << "kill after " << kill_after;
+    EXPECT_EQ(cap.latest()->rows_matched, 2 * ToyMatching(n));
+    for (const auto& [t, r] : cap.results) EXPECT_LE(r.endsystems, n);
+  }
+}
+
+TEST(IntegrationTest, RestartedPrimaryResumesSending) {
+  // A loopback-cluster crash in miniature: the three endsystems of one
+  // shard die while the query folds and come back a second later, under 5%
+  // loss with seaweedd's fast timers. The root primary is one of them; it
+  // receives submissions while still joining and arms its deliver and
+  // refresh timers then. Those timers must survive the join.
+  const int n = 12;
+  ClusterConfig cfg = ClusterOptions()
+                          .WithEndsystems(n)
+                          .WithSeed(26)
+                          .WithMessageLossRate(0.05)
+                          .BuildOrDie();
+  cfg.pastry.heartbeat_period = 2 * kSecond;
+  cfg.pastry.probe_period = 20 * kSecond;
+  cfg.pastry.probe_timeout = kSecond;
+  cfg.pastry.join_retry_timeout = kSecond;
+  cfg.seaweed.exec_delay = 100 * kMillisecond;
+  cfg.seaweed.child_timeout = 2 * kSecond;
+  cfg.seaweed.result_ack_timeout = kSecond;
+  cfg.seaweed.max_retry_backoff = 5 * kSecond;
+  cfg.seaweed.summary_push_period = 30 * kSecond;
+  cfg.seaweed.result_refresh_period = 15 * kSecond;
+  cfg.seaweed.dissem_refresh_period = 3 * kSecond;
+  cfg.seaweed.result_deliver_debounce = 200 * kMillisecond;
+  SeaweedCluster cluster(cfg, MakeToyData(n));
+  cluster.BringUpAll();
+  cluster.sim().RunUntil(2 * kMinute);
+  ASSERT_EQ(cluster.CountJoined(), n);
+
+  Capture cap;
+  const SimTime inject_at = cluster.sim().Now();
+  auto qid = cluster.InjectQuery(0, "SELECT COUNT(*) FROM Flow",
+                                 cap.MakeObserver(&cluster.sim()),
+                                 /*ttl=*/10 * kMinute);
+  ASSERT_TRUE(qid.ok());
+  const std::vector<int> shard = {2, 6, 10};
+  auto root = cluster.overlay().OracleRoot(*qid);
+  ASSERT_TRUE(root.has_value());
+  ASSERT_NE(std::find(shard.begin(), shard.end(),
+                      static_cast<int>(root->address)),
+            shard.end());
+  cluster.sim().RunUntil(inject_at + 400 * kMillisecond);
+  for (int e : shard) cluster.BringDown(e);
+  cluster.sim().RunUntil(cluster.sim().Now() + kSecond);
+  for (int e : shard) cluster.BringUp(e);
+  cluster.sim().RunUntil(inject_at + 3 * kMinute);
+
+  ASSERT_NE(cap.latest(), nullptr);
+  EXPECT_EQ(cap.latest()->endsystems, n);
+  EXPECT_EQ(cap.latest()->rows_matched, 2 * ToyMatching(n));
+  for (const auto& [t, r] : cap.results) EXPECT_LE(r.endsystems, n);
 }
 
 }  // namespace

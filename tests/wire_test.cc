@@ -123,7 +123,7 @@ TEST(GoldenWireSizeTest, SeaweedMessageDefaults) {
       {SeaweedMessage::Kind::kPredictorDeliver, 381},
       {SeaweedMessage::Kind::kResultSubmit, 76},
       {SeaweedMessage::Kind::kResultAck, 58},
-      {SeaweedMessage::Kind::kVertexReplicate, 35},
+      {SeaweedMessage::Kind::kVertexReplicate, 19},
       {SeaweedMessage::Kind::kResultDeliver, 76},
       {SeaweedMessage::Kind::kQueryListRequest, 2},
       {SeaweedMessage::Kind::kQueryList, 3},
@@ -249,10 +249,10 @@ TEST(SeaweedCodecTest, MetadataPushChargesCalibratedSummarySize) {
 TEST(SeaweedCodecTest, BroadcastRoundTripsQueries) {
   SeaweedMessage msg;
   msg.kind = SeaweedMessage::Kind::kBroadcast;
-  msg.query_id = NodeId(11, 12);
   msg.range = IdRange{NodeId(1, 0), NodeId(2, 0), false};
   msg.parent = NodeHandle{NodeId(4, 4), 9};
   msg.queries.push_back(TestQuery());
+  msg.query_id = msg.queries[0].query_id;
 
   std::vector<uint8_t> bytes = EncodeToBytes(msg);
   auto copy = WireMessageCast<SeaweedMessage>(DecodeAll(bytes));
@@ -285,6 +285,7 @@ TEST(SeaweedCodecTest, ContinuousAndViewQueriesRoundTrip) {
   for (const Query* q : {&cont, &view}) {
     SeaweedMessage msg;
     msg.kind = SeaweedMessage::Kind::kBroadcast;
+    msg.query_id = q->query_id;
     msg.queries.push_back(*q);
     std::vector<uint8_t> bytes = EncodeToBytes(msg);
     auto copy = WireMessageCast<SeaweedMessage>(DecodeAll(bytes));
@@ -357,15 +358,48 @@ TEST(SeaweedCodecTest, VertexReplicateRoundTrips) {
   SeaweedMessage msg;
   msg.kind = SeaweedMessage::Kind::kVertexReplicate;
   msg.query_id = NodeId(1, 1);
-  msg.vertex_id = NodeId(2, 2);
-  msg.vertex_state.emplace_back(NodeId(3, 3), 4, TestResult());
-  msg.vertex_state.emplace_back(NodeId(5, 5), 6, db::AggregateResult{});
+  msg.replicas.push_back({NodeId(2, 2), NodeId(3, 3), 4, TestResult()});
+  msg.replicas.push_back({NodeId(2, 2), NodeId(5, 5), 6, {}});
 
   std::vector<uint8_t> bytes = EncodeToBytes(msg);
   auto copy = WireMessageCast<SeaweedMessage>(DecodeAll(bytes));
   ASSERT_NE(copy, nullptr);
-  EXPECT_EQ(copy->vertex_state, msg.vertex_state);
+  EXPECT_EQ(copy->query_id, msg.query_id);
+  EXPECT_EQ(copy->replicas, msg.replicas);
   EXPECT_EQ(EncodeToBytes(*copy), bytes);
+}
+
+TEST(SeaweedCodecTest, MultiVertexReplicateSendsRepeatedResultOnce) {
+  // One fold up a fan-in-1 run: each vertex's merged result equals its only
+  // child's, so consecutive entries repeat a result.
+  SeaweedMessage msg;
+  msg.kind = SeaweedMessage::Kind::kVertexReplicate;
+  msg.query_id = NodeId(1, 1);
+  msg.replicas.push_back({NodeId(2, 1), NodeId(9, 9), 3, TestResult()});
+  msg.replicas.push_back({NodeId(2, 2), NodeId(2, 1), 7, TestResult()});
+  msg.replicas.push_back({NodeId(2, 3), NodeId(2, 2), 8, TestResult()});
+  msg.replicas.push_back({NodeId(2, 4), NodeId(2, 3), 1, {}});
+  msg.replicas.push_back({NodeId(2, 5), NodeId(2, 4), 2, TestResult()});
+
+  std::vector<uint8_t> bytes = EncodeToBytes(msg);
+  auto copy = WireMessageCast<SeaweedMessage>(DecodeAll(bytes));
+  ASSERT_NE(copy, nullptr);
+  EXPECT_EQ(copy->replicas, msg.replicas);
+  EXPECT_EQ(EncodeToBytes(*copy), bytes);
+
+  // Two repeats ride as a flag: the message is two results smaller than
+  // the same entries with every result spelled out.
+  SeaweedMessage empty;
+  empty.kind = SeaweedMessage::Kind::kVertexReplicate;
+  const size_t header = empty.EncodedBytes();
+  size_t spelled_out = header;
+  for (const auto& e : msg.replicas) {
+    SeaweedMessage one;  // fresh: EncodedBytes() caches
+    one.kind = SeaweedMessage::Kind::kVertexReplicate;
+    one.replicas.push_back(e);
+    spelled_out += one.EncodedBytes() - header;
+  }
+  EXPECT_EQ(bytes.size(), spelled_out - 2 * TestResult().EncodedBytes());
 }
 
 TEST(SeaweedCodecTest, QueryListKindsRoundTrip) {
@@ -444,6 +478,7 @@ TEST(CorruptInputTest, TruncationNeverCrashes) {
   auto inner = std::make_shared<SeaweedMessage>();
   inner->kind = SeaweedMessage::Kind::kBroadcast;
   inner->queries.push_back(TestQuery());
+  inner->query_id = inner->queries[0].query_id;
   pkt.app_payload = inner;
   ExpectTruncationSafe(pkt);
 
@@ -454,7 +489,8 @@ TEST(CorruptInputTest, TruncationNeverCrashes) {
 
   SeaweedMessage rep;
   rep.kind = SeaweedMessage::Kind::kVertexReplicate;
-  rep.vertex_state.emplace_back(NodeId(1, 1), 2, TestResult());
+  rep.replicas.push_back({NodeId(3, 3), NodeId(1, 1), 2, TestResult()});
+  rep.replicas.push_back({NodeId(4, 4), NodeId(3, 3), 5, TestResult()});
   ExpectTruncationSafe(rep);
 
   SeaweedMessage pred;
@@ -497,6 +533,193 @@ TEST(CorruptInputTest, BadTagsAndEnumsRejected) {
     Reader r(bytes);
     EXPECT_FALSE(DecodeWireMessage(r).ok());
   }
+}
+
+// Well-formed but meaningless payloads: each decoded before the checks and
+// then aborted a node or double-counted a contribution.
+
+TEST(CorruptInputTest, UnsortedGroupKeysRejected) {
+  // Groups [5, 3]: binary search misses key 3, so merging a result holding
+  // key 3 adds a second group 3 and the key is counted twice.
+  db::AggregateResult r;
+  r.groups.push_back({db::Value(int64_t{5}), std::vector<db::AggState>(1)});
+  r.groups.push_back({db::Value(int64_t{3}), std::vector<db::AggState>(1)});
+  Writer w;
+  r.Encode(w);
+  Reader rd(w.bytes());
+  auto decoded = db::AggregateResult::Decode(rd);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_TRUE(decoded.status().IsParseError()) << decoded.status();
+
+  // A repeated key is as bad as a descending one.
+  r.groups[1].first = db::Value(int64_t{5});
+  Writer w2;
+  r.Encode(w2);
+  Reader rd2(w2.bytes());
+  EXPECT_FALSE(db::AggregateResult::Decode(rd2).ok());
+}
+
+TEST(CorruptInputTest, MixedGroupArityRejected) {
+  // Groups of arity 1 and 2: AggregateResult::Merge CHECK-fails on them.
+  db::AggregateResult r;
+  r.groups.push_back({db::Value(int64_t{3}), std::vector<db::AggState>(1)});
+  r.groups.push_back({db::Value(int64_t{5}), std::vector<db::AggState>(2)});
+  SeaweedMessage msg;
+  msg.kind = SeaweedMessage::Kind::kResultSubmit;
+  msg.result = r;
+  std::vector<uint8_t> bytes = EncodeToBytes(msg);
+  Reader rd(bytes);
+  auto decoded = DecodeWireMessage(rd);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_TRUE(decoded.status().IsParseError()) << decoded.status();
+}
+
+TEST(CorruptInputTest, BroadcastWithoutMatchingQueryRejected) {
+  // HandleBroadcast activates queries[0] under query_id: an empty list
+  // reached a CHECK, a foreign query id an orphaned task.
+  SeaweedMessage none;
+  none.kind = SeaweedMessage::Kind::kBroadcast;
+  none.query_id = NodeId(1, 2);
+  std::vector<uint8_t> bytes = EncodeToBytes(none);
+  Reader r(bytes);
+  EXPECT_FALSE(DecodeWireMessage(r).ok());
+
+  SeaweedMessage foreign;
+  foreign.kind = SeaweedMessage::Kind::kBroadcast;
+  foreign.query_id = NodeId(1, 2);
+  foreign.queries.push_back(TestQuery());
+  ASSERT_NE(foreign.queries[0].query_id, foreign.query_id);
+  bytes = EncodeToBytes(foreign);
+  Reader r2(bytes);
+  EXPECT_FALSE(DecodeWireMessage(r2).ok());
+
+  SeaweedMessage batch;
+  batch.kind = SeaweedMessage::Kind::kBroadcastBatch;
+  batch.batch.push_back({NodeId(1, 2), IdRange{}, TestQuery()});
+  bytes = EncodeToBytes(batch);
+  Reader r3(bytes);
+  EXPECT_FALSE(DecodeWireMessage(r3).ok());
+}
+
+TEST(CorruptInputTest, ReplicaEntryFlagsChecked) {
+  SeaweedMessage msg;
+  msg.kind = SeaweedMessage::Kind::kVertexReplicate;
+  msg.replicas.push_back({NodeId(3, 3), NodeId(1, 1), 2, TestResult()});
+  std::vector<uint8_t> bytes = EncodeToBytes(msg);
+  // Layout: tag, kind, query id (16), count, then the entry's flag byte.
+  const size_t flag_at = 1 + 1 + 16 + 1;
+  ASSERT_EQ(bytes[flag_at], 0);
+  {
+    // "Same result as the previous entry" on the first entry.
+    std::vector<uint8_t> bad = bytes;
+    bad[flag_at] = 1;
+    Reader r(bad);
+    EXPECT_FALSE(DecodeWireMessage(r).ok());
+  }
+  {
+    std::vector<uint8_t> bad = bytes;
+    bad[flag_at] = 0x80;  // unknown flag bit
+    Reader r(bad);
+    EXPECT_FALSE(DecodeWireMessage(r).ok());
+  }
+  {
+    // An entry count larger than the remaining bytes could hold.
+    std::vector<uint8_t> bad = bytes;
+    bad[flag_at - 1] = 2;
+    Reader r(bad);
+    EXPECT_FALSE(DecodeWireMessage(r).ok());
+  }
+}
+
+// One group keyed by a 1 MiB string: a result whose copies add up fast.
+db::AggregateResult LargeResult() {
+  db::AggregateResult r;
+  r.GroupStates(db::Value(std::string(1 << 20, 'x')), 1)[0].count = 1;
+  return r;
+}
+
+TEST(CorruptInputTest, ReplicaRepeatExpansionBounded) {
+  // One large result, then as many 41-byte "same result" entries as the
+  // message holds: without a bound, ~1 MiB of wire decodes into ~100 GB.
+  SeaweedMessage msg;
+  msg.kind = SeaweedMessage::Kind::kVertexReplicate;
+  msg.replicas.push_back({NodeId(3, 3), NodeId(1, 1), 2, LargeResult()});
+  const std::vector<uint8_t> one = EncodeToBytes(msg);
+  const size_t count_at = 1 + 1 + 16;
+  ASSERT_EQ(one[count_at], 1);
+  auto crafted = [&](uint64_t entries) {
+    Writer w;
+    w.PutBytes(one.data(), count_at);
+    w.PutVarint(entries);
+    w.PutBytes(one.data() + count_at + 1, one.size() - count_at - 1);
+    for (uint64_t i = 1; i < entries; ++i) {
+      w.PutU8(1);  // same result as the previous entry
+      w.PutNodeId(NodeId(4, i));
+      w.PutNodeId(NodeId(3, 3));
+      w.PutU64(i);
+    }
+    return w.TakeBytes();
+  };
+  {
+    // Seven copies of the 1 MiB result fit in the 8 MiB bound.
+    std::vector<uint8_t> bytes = crafted(7);
+    Reader r(bytes);
+    EXPECT_TRUE(DecodeWireMessage(r).ok());
+  }
+  for (uint64_t entries : {8ull, 100000ull}) {
+    std::vector<uint8_t> bytes = crafted(entries);
+    Reader r(bytes);
+    auto decoded = DecodeWireMessage(r);
+    ASSERT_FALSE(decoded.ok()) << entries;
+    EXPECT_TRUE(decoded.status().IsParseError()) << decoded.status();
+  }
+}
+
+TEST(SeaweedCodecTest, ReplicaRepeatsPastBoundAreSpelledOut) {
+  // Nine equal 1 MiB results: the encoder flags repeats while the decoded
+  // size stays within the bound (entries 2-7), then spells out the rest.
+  SeaweedMessage msg;
+  msg.kind = SeaweedMessage::Kind::kVertexReplicate;
+  for (uint64_t i = 0; i < 9; ++i) {
+    msg.replicas.push_back({NodeId(4, i), NodeId(3, 3), i, LargeResult()});
+  }
+  std::vector<uint8_t> bytes = EncodeToBytes(msg);
+  EXPECT_GT(bytes.size(), 3 * LargeResult().EncodedBytes());
+  EXPECT_LT(bytes.size(), 4 * LargeResult().EncodedBytes());
+  auto copy = WireMessageCast<SeaweedMessage>(DecodeAll(bytes));
+  ASSERT_NE(copy, nullptr);
+  EXPECT_EQ(copy->replicas, msg.replicas);
+  EXPECT_EQ(EncodeToBytes(*copy), bytes);
+}
+
+TEST(SeaweedCodecTest, ReplicaRepeatNeedsIdenticalBytes) {
+  // AggregateResult::operator== equates these pairs, but they encode
+  // differently: each must be sent as itself, or the backup would get the
+  // previous entry's bytes.
+  db::AggregateResult zero;
+  zero.states.resize(1);
+  zero.states[0].sum = 0.0;
+  db::AggregateResult neg_zero = zero;
+  neg_zero.states[0].sum = -0.0;
+  ASSERT_EQ(zero, neg_zero);
+  db::AggregateResult int_key;
+  int_key.GroupStates(db::Value(int64_t{3}), 1)[0].count = 1;
+  db::AggregateResult double_key;
+  double_key.GroupStates(db::Value(3.0), 1)[0].count = 1;
+  ASSERT_EQ(int_key, double_key);
+
+  SeaweedMessage msg;
+  msg.kind = SeaweedMessage::Kind::kVertexReplicate;
+  msg.replicas.push_back({NodeId(2, 1), NodeId(9, 9), 1, zero});
+  msg.replicas.push_back({NodeId(2, 2), NodeId(2, 1), 2, neg_zero});
+  msg.replicas.push_back({NodeId(2, 3), NodeId(2, 2), 3, int_key});
+  msg.replicas.push_back({NodeId(2, 4), NodeId(2, 3), 4, double_key});
+  ExpectFixpoint(msg);
+  auto copy = WireMessageCast<SeaweedMessage>(DecodeAll(EncodeToBytes(msg)));
+  ASSERT_NE(copy, nullptr);
+  ASSERT_EQ(copy->replicas.size(), 4u);
+  EXPECT_TRUE(std::signbit(copy->replicas[1].result.states[0].sum));
+  EXPECT_TRUE(copy->replicas[3].result.groups[0].first.is_double());
 }
 
 TEST(CorruptInputTest, TrailingGarbageDetectable) {
@@ -653,9 +876,20 @@ TEST(RandomizedFixpointTest, AllSeaweedKinds) {
     for (uint64_t n = rng.NextBelow(3); n > 0; --n) {
       msg.queries.push_back(RandomQuery(rng));
     }
-    for (uint64_t n = rng.NextBelow(3); n > 0; --n) {
-      msg.vertex_state.emplace_back(RandomId(rng), rng.Next(),
-                                    RandomResult(rng));
+    if (msg.kind == SeaweedMessage::Kind::kBroadcast) {
+      // A broadcast carries its own query first.
+      msg.queries.insert(msg.queries.begin(), RandomQuery(rng));
+      msg.query_id = msg.queries[0].query_id;
+    }
+    for (uint64_t n = rng.NextBelow(4); n > 0; --n) {
+      // Per-entry vertex ids; about half the entries repeat the previous
+      // entry's result, as in a fan-in-1 run.
+      db::AggregateResult result =
+          msg.replicas.empty() || rng.NextBelow(2) == 0
+              ? RandomResult(rng)
+              : msg.replicas.back().result;
+      msg.replicas.push_back(
+          {RandomId(rng), RandomId(rng), rng.Next(), std::move(result)});
     }
     for (uint64_t n = rng.NextBelow(10); n > 0; --n) {
       msg.predictor.AddRowsAt(

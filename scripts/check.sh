@@ -202,8 +202,13 @@ load_smoke() {
 # Answer-checked query mix: perfbench/run.py builds its own default
 # (RelWithDebInfo) tree under .bench_build/, checks every answer against
 # the per-endsystem oracle and exits non-zero on any wrong or missing one.
+# The run is deterministic (216 queries per repetition), so its peak RSS
+# is held to a budget of about twice the 354 MiB median measured once
+# aggregation-tree results became shared (BENCH_vertex_memory.json): a
+# layout that copies results again fails here instead of passing quietly.
 perfbench_smoke() {
   local out="$1/perfbench_query_mix.out"
+  local rss_budget_mb=700
   echo "--- perfbench query_mix smoke (answers checked) ---"
   python3 perfbench/run.py --workload query_mix --seconds 5 > "$out" || {
     echo "FAIL: perfbench query_mix reported a wrong answer or failed" >&2
@@ -211,6 +216,15 @@ perfbench_smoke() {
     exit 1
   }
   tail -1 "$out"
+  python3 - "$out" "$rss_budget_mb" <<'EOF'
+import json, sys
+result = json.loads(open(sys.argv[1]).read().splitlines()[-1])
+rss, budget = result["metrics"]["peak_rss_mb"]["value"], float(sys.argv[2])
+if rss > budget:
+    sys.exit("FAIL: query_mix peak_rss_mb %.1f is over its %.0f MiB budget"
+             % (rss, budget))
+print("peak_rss_mb %.1f within the %.0f MiB budget" % (rss, budget))
+EOF
 }
 
 echo "=== default build (RelWithDebInfo) ==="

@@ -269,6 +269,13 @@ Result<AggState> AggState::Decode(Reader& r) {
 }
 
 void AggregateResult::Merge(const AggregateResult& other) {
+  // Merging into nothing is a copy, bit for bit, so a merge of one result
+  // is that result (a fan-in-1 vertex shares its child's; see SharedResult).
+  if (states.empty() && groups.empty() && rows_matched == 0 &&
+      endsystems == 0) {
+    *this = other;
+    return;
+  }
   if (states.empty()) {
     states = other.states;
   } else if (!other.states.empty()) {
@@ -411,6 +418,30 @@ size_t AggregateResult::SketchStateBytes() const {
     }
   }
   return total;
+}
+
+SharedResult::SharedResult() {
+  static const SharedResult kEmpty{AggregateResult{}};
+  body_ = kEmpty.body_;
+}
+
+SharedResult::SharedResult(AggregateResult result)
+    : SharedResult(std::move(result), 0) {}
+
+SharedResult::SharedResult(AggregateResult result, size_t encoded_bytes) {
+  auto body = std::make_shared<Body>();
+  body->result = std::move(result);
+  body->encoded_bytes =
+      encoded_bytes != 0 ? encoded_bytes : body->result.EncodedBytes();
+  body->has_sketch = body->result.HasSketchStates();
+  if (body->has_sketch) body->sketch_bytes = body->result.SketchStateBytes();
+  body_ = std::move(body);
+}
+
+Result<SharedResult> SharedResult::Decode(Reader& r) {
+  const size_t before = r.remaining();
+  SEAWEED_ASSIGN_OR_RETURN(AggregateResult result, AggregateResult::Decode(r));
+  return SharedResult(std::move(result), before - r.remaining());
 }
 
 // ---------------------------------------------------------------------------

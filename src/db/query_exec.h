@@ -169,6 +169,49 @@ struct AggregateResult {
   bool Identical(const AggregateResult& other) const;
 };
 
+// An immutable AggregateResult with shared ownership: the form results take
+// in the aggregation tree. A result is built once — by local execution, a
+// merge or a decode — and never changed, so a fan-in-1 vertex, the backups
+// that replicate it and the messages that carry it all hold the same
+// object. Its encoded size and sketch bytes are computed when it is built.
+class SharedResult {
+ public:
+  // The empty result (one object shared by every default handle).
+  SharedResult();
+  SharedResult(AggregateResult result);  // NOLINT(runtime/explicit)
+  // Decodes one result; its encoded size is the bytes consumed.
+  static Result<SharedResult> Decode(Reader& r);
+
+  const AggregateResult& operator*() const { return body_->result; }
+  const AggregateResult* operator->() const { return &body_->result; }
+  // Identifies the shared object: equal for handles to the same one.
+  const AggregateResult* get() const { return &body_->result; }
+
+  void Encode(Writer& w) const { body_->result.Encode(w); }
+  size_t encoded_bytes() const { return body_->encoded_bytes; }
+  bool has_sketch() const { return body_->has_sketch; }
+  size_t sketch_bytes() const { return body_->sketch_bytes; }
+
+  // Same object, or AggregateResult::Identical (the same encoding).
+  bool Identical(const SharedResult& other) const {
+    return body_ == other.body_ || body_->result.Identical(*other);
+  }
+  bool operator==(const SharedResult& other) const {
+    return body_ == other.body_ || body_->result == *other;
+  }
+
+ private:
+  struct Body {
+    AggregateResult result;
+    size_t encoded_bytes = 0;
+    size_t sketch_bytes = 0;
+    bool has_sketch = false;
+  };
+  SharedResult(AggregateResult result, size_t encoded_bytes);
+
+  std::shared_ptr<const Body> body_;
+};
+
 // An aggregate query fully bound against one table: batch predicate plus
 // resolved aggregate inputs and group column. Bind once, execute many —
 // SeaweedNode caches these per query so repeated incremental executions

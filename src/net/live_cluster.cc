@@ -8,6 +8,11 @@
 
 namespace seaweed::net {
 
+// A fold's replica batch is split to fit, with its overlay envelope, in one
+// socket message.
+static_assert(SeaweedMessage::kMaxReplicateBytes + 4096 <=
+              SocketTransport::kMaxMessageBytes);
+
 LiveCluster::LiveCluster(EventLoop* loop, const ShardMap& map,
                          const LiveConfig& config)
     : loop_(loop),

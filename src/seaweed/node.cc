@@ -699,17 +699,22 @@ void SeaweedNode::SweepExpiredTick(uint64_t generation) {
   if (generation != generation_ || !pastry_->up()) return;
   const SimTime now = sim()->Now();
   for (auto it = active_.begin(); it != active_.end();) {
+    // Submits and replicas do not carry the TTL, so a vertex-only entry
+    // expires by the default TTL counted from its creation.
     const Query& q = it->second.query;
-    bool expired = q.sql.empty()
-                       ? false  // vertex-only entries swept via query copies
-                       : q.ExpiredAt(now);
-    if (expired) {
-      persisted_leaf_vertex_.erase(it->first);
-      plan_cache_.Erase(it->first.ToHex());
-      it = active_.erase(it);
-    } else {
+    if (!q.ExpiredAt(now)) {
       ++it;
+      continue;
     }
+    if (!q.sql.empty()) {
+      // A late submit or replica must not bring the query back as a
+      // vertex-only entry. The tombstone lasts as long as the query lived,
+      // so tombstones never outnumber the queries of one TTL.
+      cancelled_[it->first] = now + q.ttl;
+    }
+    persisted_leaf_vertex_.erase(it->first);
+    plan_cache_.Erase(it->first.ToHex());
+    it = active_.erase(it);
   }
   for (auto it = cancelled_.begin(); it != cancelled_.end();) {
     if (now > it->second) {
@@ -1222,7 +1227,7 @@ void SeaweedNode::HandlePredictorReport(const SeaweedMessagePtr& msg) {
       tracer_->AddAttr(span, "node", static_cast<int64_t>(index()));
       tracer_->EndSpan(span, sim()->Now());
       task.acc.Merge(msg->predictor);
-      task.view_acc.Merge(msg->result);
+      task.view_acc.Merge(*msg->result);
     }
     FinishTaskIfDone(aq, task);
     return;
@@ -1274,9 +1279,9 @@ void SeaweedNode::SubmitLeafResult(const NodeId& query_id) {
   msg->child_key = id();
   msg->version = aq.leaf.version;
   msg->result = aq.leaf.result;
-  if (aq.leaf.result.HasSketchStates()) {
+  if (aq.leaf.result.has_sketch()) {
     metrics_.sketch_results->Add();
-    metrics_.sketch_state_bytes->Add(aq.leaf.result.SketchStateBytes());
+    metrics_.sketch_state_bytes->Add(aq.leaf.result.sketch_bytes());
   }
   if (IsLikelyRootFor(vertex)) {
     // We are (or believe we are) the vertex primary: fold locally. If the
@@ -1350,13 +1355,74 @@ void SeaweedNode::RetryLeafSubmit(const NodeId& query_id, uint64_t version) {
   });
 }
 
-db::AggregateResult SeaweedNode::MergedVertexResult(
-    const VertexState& state) const {
-  db::AggregateResult merged;
-  for (const auto& [key, entry] : state.children) {
-    merged.Merge(entry.second);
+namespace {
+
+template <typename Children>
+auto ChildLowerBound(Children& children, const NodeId& key) {
+  return std::lower_bound(
+      children.begin(), children.end(), key,
+      [](const auto& c, const NodeId& k) { return c.key < k; });
+}
+
+}  // namespace
+
+const SeaweedNode::ChildEntry* SeaweedNode::VertexState::FindChild(
+    const NodeId& key) const {
+  auto it = ChildLowerBound(children, key);
+  return it != children.end() && it->key == key ? &*it : nullptr;
+}
+
+bool SeaweedNode::VertexState::Offer(const NodeId& key, uint64_t version,
+                                     const db::SharedResult& result) {
+  auto it = ChildLowerBound(children, key);
+  if (it == children.end() || it->key != key) {
+    children.insert(it, {key, version, result});
+    return true;
   }
+  if (it->version >= version) return false;
+  it->version = version;
+  it->result = result;
+  return true;
+}
+
+db::SharedResult SeaweedNode::MergedVertexResult(const VertexState& state) {
+  // Merging into an empty result copies it, so one child's result is
+  // already the merge: share it instead of copying it up the run.
+  if (state.children.size() == 1) return state.children.front().result;
+  db::AggregateResult merged;
+  for (const ChildEntry& child : state.children) merged.Merge(*child.result);
   return merged;
+}
+
+std::vector<SeaweedMessage::ReplicaEntry> SeaweedNode::VertexEntries(
+    const NodeId& query_id) const {
+  std::vector<SeaweedMessage::ReplicaEntry> entries;
+  auto it = active_.find(query_id);
+  if (it == active_.end()) return entries;
+  for (const auto& [vertex_id, state] : it->second.vertices) {
+    for (const ChildEntry& c : state.children) {
+      entries.push_back({vertex_id, c.key, c.version, c.result});
+    }
+  }
+  std::sort(entries.begin(), entries.end(), [](const auto& a, const auto& b) {
+    return std::tie(a.vertex_id, a.child_key) <
+           std::tie(b.vertex_id, b.child_key);
+  });
+  return entries;
+}
+
+SeaweedNode::ActiveQuery* SeaweedNode::ResultPlaneQuery(
+    const NodeId& query_id) {
+  if (cancelled_.count(query_id)) return nullptr;
+  auto it = active_.find(query_id);
+  if (it == active_.end()) {
+    // Vertex-only participation: we may not have seen the query broadcast.
+    ActiveQuery aq;
+    aq.query.query_id = query_id;
+    aq.query.injected_at = sim()->Now();
+    it = active_.emplace(query_id, std::move(aq)).first;
+  }
+  return it->second.query.ExpiredAt(sim()->Now()) ? nullptr : &it->second;
 }
 
 void SeaweedNode::HandleResultSubmit(const NodeHandle& from,
@@ -1395,23 +1461,12 @@ void SeaweedNode::FoldResultSubmit(const NodeHandle& from,
       metrics_.handovers_suppressed->Add();
     }
   }
-  if (cancelled_.count(msg->query_id)) return;
-  auto it = active_.find(msg->query_id);
-  if (it == active_.end()) {
-    // Vertex-only participation: we may not have seen the query broadcast.
-    ActiveQuery aq;
-    aq.query.query_id = msg->query_id;
-    aq.query.injected_at = sim()->Now();
-    active_[msg->query_id] = std::move(aq);
-    it = active_.find(msg->query_id);
-  }
-  ActiveQuery& aq = it->second;
-  VertexState& state = aq.vertices[vertex];
-  auto child = state.children.find(msg->child_key);
-  bool updated = false;
-  if (child == state.children.end() || child->second.first < msg->version) {
-    state.children[msg->child_key] = {msg->version, msg->result};
-    updated = true;
+  ActiveQuery* aq = ResultPlaneQuery(msg->query_id);
+  if (aq == nullptr) return;
+  VertexState& state = aq->vertices[vertex];
+  const bool updated =
+      state.Offer(msg->child_key, msg->version, msg->result);
+  if (updated) {
     metrics_.vertex_updates->Add();
   } else {
     // Stale or replayed version: the dedup that makes retries safe.
@@ -1480,25 +1535,26 @@ bool SeaweedNode::LocalParentHoldsCurrent(const ActiveQuery& aq,
   if (pit == aq.vertices.end() || !pit->second.primary_folded) {
     return false;
   }
-  auto child = pit->second.children.find(vertex_id);
-  return child != pit->second.children.end() &&
-         child->second.first == state.version;
+  const ChildEntry* child = pit->second.FindChild(vertex_id);
+  return child != nullptr && child->version == state.version;
 }
 
 void SeaweedNode::FlushReplicaBatches() {
-  std::vector<ReplicaBatch> batches;
+  std::vector<BackupBatch> batches;
   batches.swap(replica_batches_);
-  for (const ReplicaBatch& batch : batches) {
-    metrics_.vertex_replicate_msgs->Add();
-    SendSeaweed(batch.backup, batch.msg, TrafficCategory::kResult);
+  for (const BackupBatch& b : batches) {
+    for (const SeaweedMessagePtr& msg : b.batch.messages()) {
+      metrics_.vertex_replicate_msgs->Add();
+      SendSeaweed(b.backup, msg, TrafficCategory::kResult);
+    }
   }
 }
 
 void SeaweedNode::ReplicateVertex(const NodeId& query_id,
                                   const NodeId& vertex_id, VertexState& state,
                                   const NodeId& changed_child) {
-  auto child = state.children.find(changed_child);
-  if (child == state.children.end()) return;
+  const ChildEntry* child = state.FindChild(changed_child);
+  if (child == nullptr) return;
   // Replicas: the m leafset members closest to the vertexId. A backup that
   // has the baseline receives only the changed child entry (delta
   // replication — full-state would cost O(fan-in) per update and the root
@@ -1519,25 +1575,27 @@ void SeaweedNode::ReplicateVertex(const NodeId& query_id,
     // Entries join the backup's batch for the fold in progress.
     auto batch = std::find_if(
         replica_batches_.begin(), replica_batches_.end(),
-        [&](const ReplicaBatch& b) {
-          return b.backup.id == backup.id && b.msg->query_id == query_id;
+        [&](const BackupBatch& b) {
+          return b.backup.id == backup.id && b.batch.query_id() == query_id;
         });
     if (batch == replica_batches_.end()) {
-      auto msg = std::make_shared<SeaweedMessage>();
-      msg->kind = SeaweedMessage::Kind::kVertexReplicate;
-      msg->query_id = query_id;
-      batch = replica_batches_.insert(replica_batches_.end(), {backup, msg});
+      batch = replica_batches_.insert(replica_batches_.end(),
+                                      {backup, ReplicaBatch(query_id)});
     }
-    auto& entries = batch->msg->replicas;
-    if (state.synced_backups.count(backup.id)) {
-      entries.push_back({vertex_id, changed_child, child->second.first,
-                         child->second.second});
+    if (state.synced_backups.empty()) {
+      state.synced_backups.reserve(static_cast<size_t>(m));
+    }
+    auto synced = std::lower_bound(state.synced_backups.begin(),
+                                   state.synced_backups.end(), backup.id);
+    if (synced != state.synced_backups.end() && *synced == backup.id) {
+      batch->batch.Add({vertex_id, changed_child, child->version,
+                        child->result});
       continue;
     }
-    for (const auto& [key, entry] : state.children) {
-      entries.push_back({vertex_id, key, entry.first, entry.second});
+    for (const ChildEntry& c : state.children) {
+      batch->batch.Add({vertex_id, c.key, c.version, c.result});
     }
-    state.synced_backups.insert(backup.id);
+    state.synced_backups.insert(synced, backup.id);
   }
 }
 
@@ -1553,7 +1611,9 @@ void SeaweedNode::ScheduleVertexRepropagation(const NodeId& query_id,
                                                vertex_id] {
     if (gen != generation_) return;
     auto it2 = active_.find(query_id);
-    if (it2 == active_.end()) return;
+    if (it2 == active_.end() || it2->second.query.ExpiredAt(sim()->Now())) {
+      return;
+    }
     auto vit = it2->second.vertices.find(vertex_id);
     if (vit == it2->second.vertices.end()) return;
     vit->second.repropagate_scheduled = false;
@@ -1572,16 +1632,16 @@ void SeaweedNode::ScheduleVertexRepropagation(const NodeId& query_id,
 void SeaweedNode::PropagateVertex(const NodeId& query_id,
                                   const NodeId& vertex_id) {
   auto it = active_.find(query_id);
-  if (it == active_.end()) return;
+  if (it == active_.end() || it->second.query.ExpiredAt(sim()->Now())) return;
   ActiveQuery& aq = it->second;
   auto vit = aq.vertices.find(vertex_id);
   if (vit == aq.vertices.end()) return;
   VertexState& state = vit->second;
   state.send_scheduled = false;
-  db::AggregateResult merged = MergedVertexResult(state);
-  if (merged.HasSketchStates()) {
+  const db::SharedResult merged = MergedVertexResult(state);
+  if (merged.has_sketch()) {
     metrics_.sketch_merges->Add();
-    metrics_.sketch_state_bytes->Add(merged.SketchStateBytes());
+    metrics_.sketch_state_bytes->Add(merged.sketch_bytes());
   }
   obs::SpanId span = tracer_->StartSpan(
       "aggregation_round", obs::TraceKey(query_id), sim()->Now());
@@ -1601,7 +1661,7 @@ void SeaweedNode::PropagateVertex(const NodeId& query_id,
             sim()->Now() - aq.query.injected_at));
         aq.result_span = obs::kNoSpan;
       }
-      aq.observer.on_result(query_id, merged);
+      aq.observer.on_result(query_id, *merged);
       return;
     }
     if (aq.query.origin.id != NodeId()) {
@@ -1754,20 +1814,11 @@ void SeaweedNode::OnAppMessage(const NodeHandle& from, bool routed,
       break;
     }
     case SeaweedMessage::Kind::kVertexReplicate: {
-      auto it = active_.find(msg->query_id);
-      if (it == active_.end()) {
-        ActiveQuery aq;
-        aq.query.query_id = msg->query_id;
-        aq.query.injected_at = sim()->Now();
-        active_[msg->query_id] = std::move(aq);
-        it = active_.find(msg->query_id);
-      }
+      ActiveQuery* aq = ResultPlaneQuery(msg->query_id);
+      if (aq == nullptr) break;
       for (const auto& entry : msg->replicas) {
-        VertexState& state = it->second.vertices[entry.vertex_id];
-        auto c = state.children.find(entry.child_key);
-        if (c == state.children.end() || c->second.first < entry.version) {
-          state.children[entry.child_key] = {entry.version, entry.result};
-        }
+        aq->vertices[entry.vertex_id].Offer(entry.child_key, entry.version,
+                                            entry.result);
       }
       break;
     }
@@ -1782,7 +1833,7 @@ void SeaweedNode::OnAppMessage(const NodeHandle& from, bool routed,
           origin_aq.result_span = obs::kNoSpan;
         }
         if (origin_aq.observer.on_result) {
-          origin_aq.observer.on_result(msg->query_id, msg->result);
+          origin_aq.observer.on_result(msg->query_id, *msg->result);
         }
       }
       break;

@@ -23,9 +23,9 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <set>
 #include <tuple>
 #include <unordered_map>
+#include <vector>
 
 #include "obs/obs.h"
 #include "overlay/overlay_network.h"
@@ -166,6 +166,11 @@ class SeaweedNode : public overlay::PastryApp {
   bool HasActiveQuery(const NodeId& query_id) const {
     return active_.count(query_id) > 0;
   }
+  // Every child entry this node holds for the query's vertices, as primary
+  // or backup, sorted by (vertex, child). Results are shared, not copied,
+  // so tests can count the distinct objects behind them.
+  std::vector<SeaweedMessage::ReplicaEntry> VertexEntries(
+      const NodeId& query_id) const;
   // Admission control: true when this node already originates
   // max_active_queries queries and a new injection would be shed.
   bool AtAdmissionLimit() const;
@@ -198,34 +203,52 @@ class SeaweedNode : public overlay::PastryApp {
     bool finished = false;
   };
 
+  // One child's latest submission at a vertex.
+  struct ChildEntry {
+    NodeId key;
+    uint64_t version = 0;
+    db::SharedResult result;
+  };
+
+  // Almost every vertex has one child (the vertex function keeps a leaf's
+  // low digits as it climbs) and m backups, so both sets are small sorted
+  // vectors rather than tree maps.
   struct VertexState {
-    std::map<NodeId, std::pair<uint64_t, db::AggregateResult>> children;
+    // Sorted by key: the order the merge folds children in.
+    std::vector<ChildEntry> children;
+    // Backups known to hold this vertex's full state, sorted; others get a
+    // full sync before deltas (a delta-only backup would reconstruct a
+    // partial subtree after primary failover).
+    std::vector<NodeId> synced_backups;
     uint64_t version = 0;         // our version as a child of our parent
     // Leading-edge throttle on sends that leave the node: the earliest time
-    // the next one may go, and whether a trailing send is armed for it.
+    // the next one may go.
     SimTime next_send_at = 0;
+    // Upward-submit ack tracking: the version sent to our parent and not
+    // yet acked (0 = nothing outstanding), and how many timeouts in a row
+    // have fired for it.
+    uint64_t pending_version = 0;
+    int submit_tries = 0;
+    // A trailing throttled send is armed for next_send_at.
     bool send_scheduled = false;
-    // Backups known to hold this vertex's full state; others get a full
-    // sync before deltas (a delta-only backup would reconstruct a partial
-    // subtree after primary failover).
-    std::set<NodeId> synced_backups;
     bool repropagate_scheduled = false;
     // We have folded a submit for this vertex as its primary (a copy held
     // only as a backup has not). Failover reads it: a duplicate at a vertex
     // we never folded means we just took it over, and a local parent we
     // never folded needs a fresh version from us to start propagating.
     bool primary_folded = false;
-    // Upward-submit ack tracking: the version sent to our parent and not
-    // yet acked (0 = nothing outstanding), and how many timeouts in a row
-    // have fired for it.
-    uint64_t pending_version = 0;
-    int submit_tries = 0;
+
+    const ChildEntry* FindChild(const NodeId& key) const;
+    // Stores the child's submission unless we hold that version or a newer
+    // one; true when it was stored.
+    bool Offer(const NodeId& key, uint64_t version,
+               const db::SharedResult& result);
   };
 
   struct PendingSubmit {
     NodeId vertex_id;
     uint64_t version = 0;
-    db::AggregateResult result;
+    db::SharedResult result;
     bool acked = false;
     int tries = 0;
   };
@@ -329,6 +352,10 @@ class SeaweedNode : public overlay::PastryApp {
   bool IsLikelyRootFor(const NodeId& key) const;
   void SubmitLeafResult(const NodeId& query_id);
   void RetryLeafSubmit(const NodeId& query_id, uint64_t version);
+  // The query a submit or replica belongs to, created as a vertex-only
+  // entry if its broadcast has not reached us; null once it was cancelled
+  // or has expired.
+  ActiveQuery* ResultPlaneQuery(const NodeId& query_id);
   void HandleResultSubmit(const overlay::NodeHandle& from,
                           const SeaweedMessagePtr& msg);
   void FoldResultSubmit(const overlay::NodeHandle& from,
@@ -356,7 +383,9 @@ class SeaweedNode : public overlay::PastryApp {
   void ReplicateVertex(const NodeId& query_id, const NodeId& vertex_id,
                        VertexState& state, const NodeId& changed_child);
   void FlushReplicaBatches();
-  db::AggregateResult MergedVertexResult(const VertexState& state) const;
+  // A fan-in-1 vertex's result is its child's; more children merge into a
+  // new result.
+  static db::SharedResult MergedVertexResult(const VertexState& state);
 
   // --- Query lifecycle ---
   void HandleQueryListRequest(const overlay::NodeHandle& from);
@@ -451,13 +480,13 @@ class SeaweedNode : public overlay::PastryApp {
   // leafsets disagree about vertex ownership mid-repair.
   std::map<std::tuple<NodeId, NodeId, NodeId, uint64_t>, SimTime>
       recent_handovers_;
-  // Replica batches of the fold in progress, one kVertexReplicate per
-  // (query, backup); sent when the outermost HandleResultSubmit returns.
-  struct ReplicaBatch {
+  // Replica batches of the fold in progress, one per (query, backup); sent
+  // when the outermost HandleResultSubmit returns.
+  struct BackupBatch {
     overlay::NodeHandle backup;
-    SeaweedMessagePtr msg;
+    ReplicaBatch batch;
   };
-  std::vector<ReplicaBatch> replica_batches_;
+  std::vector<BackupBatch> replica_batches_;
   int fold_depth_ = 0;
   uint64_t generation_ = 0;
   Rng rng_;

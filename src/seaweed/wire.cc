@@ -15,6 +15,10 @@ constexpr uint8_t kReplicaSameResult = 1;
 // message cap). Without it, a small crafted message could decode into ~10^5
 // copies of one large result. The encoder spells results out past it.
 constexpr size_t kMaxReplicaResultBytes = 8 << 20;
+// Encoded bytes of a kVertexReplicate entry besides its result: flags,
+// vertex id, child key and version (ids are two u64s on the wire).
+constexpr size_t kIdBytes = 16;
+constexpr size_t kReplicaEntryFixedBytes = 1 + 2 * kIdBytes + 8;
 
 [[maybe_unused]] const bool kSeaweedMessageRegistered = [] {
   RegisterWireDecoder(SeaweedMessage::kWireType, &SeaweedMessage::Decode);
@@ -44,7 +48,7 @@ void SeaweedMessage::EncodeBody(Writer& w) const {
       predictor.Encode(w);
       // View-snapshot runs carry an aggregate instead of (empty) predictor
       // mass; it rides along only when present.
-      bool has_result = !result.states.empty() || !result.groups.empty();
+      bool has_result = !result->states.empty() || !result->groups.empty();
       w.PutBool(has_result);
       if (has_result) result.Encode(w);
       break;
@@ -66,26 +70,14 @@ void SeaweedMessage::EncodeBody(Writer& w) const {
     case Kind::kVertexReplicate: {
       w.PutNodeId(query_id);
       w.PutVarint(replicas.size());
-      // Repeats need AggregateResult::Identical, not operator== (which
-      // equates 3 with 3.0 and -0.0 with 0.0), so decoding is exact.
-      const db::AggregateResult* spelled = nullptr;  // last sent in full
-      size_t spelled_bytes = 0;
-      size_t expanded = 0;
+      ReplicaSizer sizer;
       for (const ReplicaEntry& e : replicas) {
-        const bool same = spelled != nullptr &&
-                          expanded + spelled_bytes <= kMaxReplicaResultBytes &&
-                          e.result.Identical(*spelled);
+        const bool same = sizer.Add(e.result);
         w.PutU8(same ? kReplicaSameResult : 0);
         w.PutNodeId(e.vertex_id);
         w.PutNodeId(e.child_key);
         w.PutU64(e.version);
-        if (!same) {
-          const size_t before = w.size();
-          e.result.Encode(w);
-          spelled = &e.result;
-          spelled_bytes = w.size() - before;
-        }
-        expanded += spelled_bytes;
+        if (!same) e.result.Encode(w);
       }
       break;
     }
@@ -156,8 +148,7 @@ Result<WireMessagePtr> SeaweedMessage::Decode(Reader& r) {
                                CompletenessPredictor::Decode(r));
       SEAWEED_ASSIGN_OR_RETURN(bool has_result, r.GetBool());
       if (has_result) {
-        SEAWEED_ASSIGN_OR_RETURN(msg->result,
-                                 db::AggregateResult::Decode(r));
+        SEAWEED_ASSIGN_OR_RETURN(msg->result, db::SharedResult::Decode(r));
       }
       break;
     }
@@ -167,8 +158,7 @@ Result<WireMessagePtr> SeaweedMessage::Decode(Reader& r) {
       SEAWEED_ASSIGN_OR_RETURN(msg->vertex_id, r.GetNodeId());
       SEAWEED_ASSIGN_OR_RETURN(msg->child_key, r.GetNodeId());
       SEAWEED_ASSIGN_OR_RETURN(msg->version, r.GetU64());
-      SEAWEED_ASSIGN_OR_RETURN(msg->result,
-                               db::AggregateResult::Decode(r));
+      SEAWEED_ASSIGN_OR_RETURN(msg->result, db::SharedResult::Decode(r));
       break;
     }
     case Kind::kResultAck: {
@@ -181,13 +171,11 @@ Result<WireMessagePtr> SeaweedMessage::Decode(Reader& r) {
     case Kind::kVertexReplicate: {
       SEAWEED_ASSIGN_OR_RETURN(msg->query_id, r.GetNodeId());
       SEAWEED_ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
-      // Entries are ≥41 wire bytes each (flags + two ids + version).
-      if (n > r.remaining() / 41) {
+      if (n > r.remaining() / kReplicaEntryFixedBytes) {
         return Status::ParseError("replica entry count exceeds buffer");
       }
       msg->replicas.reserve(static_cast<size_t>(n));
-      size_t prev_bytes = 0;  // encoded size of the last spelled-out result
-      size_t expanded = 0;
+      size_t expanded = 0;  // result bytes the entries decode to
       for (uint64_t i = 0; i < n; ++i) {
         SEAWEED_ASSIGN_OR_RETURN(uint8_t flags, r.GetU8());
         if ((flags & ~kReplicaSameResult) != 0) {
@@ -197,7 +185,8 @@ Result<WireMessagePtr> SeaweedMessage::Decode(Reader& r) {
         if (same && i == 0) {
           return Status::ParseError("first replica entry repeats a result");
         }
-        if (same && expanded + prev_bytes > kMaxReplicaResultBytes) {
+        if (same && expanded + msg->replicas.back().result.encoded_bytes() >
+                        kMaxReplicaResultBytes) {
           return Status::ParseError("replica repeats expand past the limit");
         }
         ReplicaEntry e;
@@ -205,13 +194,11 @@ Result<WireMessagePtr> SeaweedMessage::Decode(Reader& r) {
         SEAWEED_ASSIGN_OR_RETURN(e.child_key, r.GetNodeId());
         SEAWEED_ASSIGN_OR_RETURN(e.version, r.GetU64());
         if (same) {
-          e.result = msg->replicas.back().result;
+          e.result = msg->replicas.back().result;  // shared, not copied
         } else {
-          const size_t before = r.remaining();
-          SEAWEED_ASSIGN_OR_RETURN(e.result, db::AggregateResult::Decode(r));
-          prev_bytes = before - r.remaining();
+          SEAWEED_ASSIGN_OR_RETURN(e.result, db::SharedResult::Decode(r));
         }
-        expanded += prev_bytes;
+        expanded += e.result.encoded_bytes();
         msg->replicas.push_back(std::move(e));
       }
       break;
@@ -256,6 +243,45 @@ Result<WireMessagePtr> SeaweedMessage::Decode(Reader& r) {
     }
   }
   return WireMessagePtr(std::move(msg));
+}
+
+bool SeaweedMessage::ReplicaSizer::Add(const db::SharedResult& result) {
+  // Repeats need Identical, not operator== (which equates 3 with 3.0 and
+  // -0.0 with 0.0), so decoding is exact.
+  const bool same =
+      entries_ > 0 &&
+      expanded_ + spelled_.encoded_bytes() <= kMaxReplicaResultBytes &&
+      result.Identical(spelled_);
+  if (!same) {
+    spelled_ = result;
+    entry_bytes_ += result.encoded_bytes();
+  }
+  ++entries_;
+  entry_bytes_ += kReplicaEntryFixedBytes;
+  expanded_ += spelled_.encoded_bytes();
+  return same;
+}
+
+size_t SeaweedMessage::ReplicaSizer::bytes() const {
+  // Type tag, kind, query id and the entry count's varint.
+  size_t count_bytes = 1;
+  for (size_t n = entries_; n >= 0x80; n >>= 7) ++count_bytes;
+  return 2 + kIdBytes + count_bytes + entry_bytes_;
+}
+
+void ReplicaBatch::Add(SeaweedMessage::ReplicaEntry entry) {
+  SeaweedMessage::ReplicaSizer next = sizer_;
+  next.Add(entry.result);
+  if (messages_.empty() || next.bytes() > SeaweedMessage::kMaxReplicateBytes) {
+    auto msg = std::make_shared<SeaweedMessage>();
+    msg->kind = SeaweedMessage::Kind::kVertexReplicate;
+    msg->query_id = query_id_;
+    messages_.push_back(std::move(msg));
+    next = {};
+    next.Add(entry.result);
+  }
+  sizer_ = std::move(next);
+  messages_.back()->replicas.push_back(std::move(entry));
 }
 
 uint32_t SeaweedMessage::WireBytes() const {

@@ -70,22 +70,43 @@ struct SeaweedMessage : WireMessage {
   NodeId vertex_id;
   NodeId child_key;
   uint64_t version = 0;
-  db::AggregateResult result;
+  db::SharedResult result;
 
   // kVertexReplicate: versioned child entries for a backup. One message
-  // carries every entry of one fold — a run of vertices the sender is
+  // carries the entries of one fold — a run of vertices the sender is
   // primary for — so each entry names its vertex. On the wire, an entry
-  // whose result encodes to the previous entry's bytes (a fan-in-1 vertex)
-  // carries a flag instead of the result, within a bound on the decoded
-  // size.
+  // whose result is the previous entry's (a fan-in-1 vertex) carries a flag
+  // instead of the result, within a bound on the decoded size; decoded
+  // repeats share one result.
   struct ReplicaEntry {
     NodeId vertex_id;
     NodeId child_key;
     uint64_t version = 0;
-    db::AggregateResult result;
+    db::SharedResult result;
     bool operator==(const ReplicaEntry&) const = default;
   };
   std::vector<ReplicaEntry> replicas;
+
+  // A fold's kVertexReplicate is split before its encoding would pass this
+  // size: the socket transport's 8 MiB message cap, less room for the
+  // overlay envelope the message travels in.
+  static constexpr size_t kMaxReplicateBytes = (8 << 20) - 4096;
+
+  // The encoded size of a kVertexReplicate as entries are appended, by the
+  // encoder's own rule for which entries go as repeats.
+  class ReplicaSizer {
+   public:
+    // Counts `result` as the next entry; true when it goes as a repeat.
+    bool Add(const db::SharedResult& result);
+    // Encoded bytes of the whole message (type tag included) so far.
+    size_t bytes() const;
+
+   private:
+    db::SharedResult spelled_;  // the last result sent in full
+    size_t entries_ = 0;
+    size_t entry_bytes_ = 0;  // encoded entries
+    size_t expanded_ = 0;     // result bytes the entries decode to
+  };
 
   uint8_t wire_type() const override { return kWireType; }
 
@@ -103,5 +124,22 @@ struct SeaweedMessage : WireMessage {
 };
 
 using SeaweedMessagePtr = std::shared_ptr<SeaweedMessage>;
+
+// The kVertexReplicate messages of one fold for one (query, backup). Entries
+// keep their order; the next message starts before an entry would take the
+// current one past SeaweedMessage::kMaxReplicateBytes.
+class ReplicaBatch {
+ public:
+  explicit ReplicaBatch(const NodeId& query_id) : query_id_(query_id) {}
+
+  void Add(SeaweedMessage::ReplicaEntry entry);
+  const NodeId& query_id() const { return query_id_; }
+  const std::vector<SeaweedMessagePtr>& messages() const { return messages_; }
+
+ private:
+  NodeId query_id_;
+  std::vector<SeaweedMessagePtr> messages_;
+  SeaweedMessage::ReplicaSizer sizer_;  // of messages_.back()
+};
 
 }  // namespace seaweed

@@ -4,6 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "anemone/anemone.h"
@@ -503,6 +506,243 @@ TEST(IntegrationTest, RestartedPrimaryResumesSending) {
   EXPECT_EQ(cap.latest()->endsystems, n);
   EXPECT_EQ(cap.latest()->rows_matched, 2 * ToyMatching(n));
   for (const auto& [t, r] : cap.results) EXPECT_LE(r.endsystems, n);
+}
+
+// Distinct result objects behind `entries`.
+size_t DistinctObjects(const std::vector<SeaweedMessage::ReplicaEntry>& entries) {
+  std::set<const db::AggregateResult*> objects;
+  for (const auto& e : entries) objects.insert(e.result.get());
+  return objects.size();
+}
+
+TEST(IntegrationTest, OwnedRunHoldsOneResultObject) {
+  // The vertex function keeps a leaf's low digits as it climbs, so a leaf's
+  // path starts with a long fan-in-1 run, and every vertex of it carries
+  // the leaf's result. A node holding any part of the run, as primary or
+  // backup, holds that result once, not once per vertex.
+  const int n = 48;
+  SeaweedCluster cluster(ToyConfig(n), MakeToyData(n));
+  cluster.BringUpAll();
+  cluster.sim().RunUntil(5 * kMinute);
+  ASSERT_EQ(cluster.CountJoined(), n);
+
+  Capture cap;
+  auto qid = cluster.InjectQuery(0, "SELECT COUNT(*) FROM Flow",
+                                 cap.MakeObserver(&cluster.sim()));
+  ASSERT_TRUE(qid.ok());
+  cluster.sim().RunUntil(cluster.sim().Now() + 2 * kMinute);
+  ASSERT_NE(cap.latest(), nullptr);
+  ASSERT_EQ(cap.latest()->endsystems, n);
+
+  std::vector<std::vector<SeaweedMessage::ReplicaEntry>> held;
+  for (int e = 0; e < n; ++e) {
+    held.push_back(cluster.seaweed_node(e)->VertexEntries(*qid));
+  }
+  const int b = cluster.config().pastry.b;
+  size_t longest = 0;
+  for (int leaf = 0; leaf < n; ++leaf) {
+    // The run: vertices whose only child, at their primary, is the vertex
+    // (or the leaf) below.
+    std::set<NodeId> run;
+    NodeId below = cluster.pastry_node(leaf)->id();
+    while (below != *qid) {
+      const NodeId v = VertexParent(*qid, below, b);
+      std::vector<NodeId> children;
+      for (const auto& entry : held[OwnerOf(cluster, n, v)]) {
+        if (entry.vertex_id == v) children.push_back(entry.child_key);
+      }
+      if (children != std::vector<NodeId>{below}) break;
+      run.insert(v);
+      below = v;
+    }
+    longest = std::max(longest, run.size());
+    for (int node = 0; node < n; ++node) {
+      std::vector<SeaweedMessage::ReplicaEntry> in_run;
+      for (const auto& entry : held[node]) {
+        if (run.count(entry.vertex_id)) in_run.push_back(entry);
+      }
+      if (in_run.empty()) continue;
+      EXPECT_EQ(DistinctObjects(in_run), 1u)
+          << "leaf " << leaf << ", node " << node << ", " << in_run.size()
+          << " vertices";
+    }
+  }
+  EXPECT_GE(longest, 20u);  // D = 32 levels at b = 4
+}
+
+TEST(IntegrationTest, HeldResultsSurviveMultiChildFolds) {
+  // A merge builds a new result. Results that vertices and backups held
+  // before later folds merged them must still read as they did.
+  const int n = 48;
+  SeaweedCluster cluster(ToyConfig(n), MakeToyData(n));
+  cluster.BringUpAll();
+  cluster.sim().RunUntil(5 * kMinute);
+  ASSERT_EQ(cluster.CountJoined(), n);
+
+  Capture cap;
+  auto qid = cluster.InjectQuery(0, "SELECT COUNT(*) FROM Flow",
+                                 cap.MakeObserver(&cluster.sim()));
+  ASSERT_TRUE(qid.ok());
+  while (cap.results.empty()) {
+    cluster.sim().RunUntil(cluster.sim().Now() + 10 * kMillisecond);
+  }
+  ASSERT_LT(cap.latest()->endsystems, n);
+
+  std::vector<std::pair<db::SharedResult, db::AggregateResult>> snapshot;
+  for (int e = 0; e < n; ++e) {
+    for (const auto& entry : cluster.seaweed_node(e)->VertexEntries(*qid)) {
+      snapshot.push_back({entry.result, *entry.result});
+    }
+  }
+  ASSERT_FALSE(snapshot.empty());
+  cluster.sim().RunUntil(cluster.sim().Now() + 2 * kMinute);
+  ASSERT_EQ(cap.latest()->endsystems, n);
+  for (const auto& [held, copy] : snapshot) {
+    EXPECT_TRUE(held->Identical(copy));
+  }
+}
+
+TEST(IntegrationTest, FoldPastTheSocketCapSplitsItsReplicaBatch) {
+  // A run of twelve two-child vertices over ~1 MiB results: one fold up it
+  // replicates twelve distinct results, ~12 MiB, past the socket
+  // transport's 8 MiB message cap. Each backup gets them in several
+  // messages and ends up with the primary's state.
+  const int n = 16;
+  SeaweedCluster cluster(ToyConfig(n), MakeToyData(n));
+  cluster.BringUpAll();
+  cluster.sim().RunUntil(5 * kMinute);
+  ASSERT_EQ(cluster.CountJoined(), n);
+
+  const int primary = 0;
+  SeaweedNode* node = cluster.seaweed_node(primary);
+  // The root vertex is the primary's own id, so the vertices just below it
+  // on any path are the primary's too.
+  const NodeId qid = cluster.pastry_node(primary)->id();
+  const int b = cluster.config().pastry.b;
+  std::vector<NodeId> path;
+  for (NodeId v = VertexParent(qid, NodeId(0x1234, 0x5678), b);;
+       v = VertexParent(qid, v, b)) {
+    path.push_back(v);
+    if (v == qid) break;
+  }
+  path.erase(path.begin(), path.end() - 12);
+  for (const NodeId& v : path) ASSERT_EQ(OwnerOf(cluster, n, v), primary);
+
+  const std::string big_key(1 << 20, 'k');
+  auto submit = [&](const NodeId& vertex, const NodeId& child,
+                    int64_t count) {
+    db::AggregateResult r;
+    r.GroupStates(db::Value(big_key), 1)[0].count = count;
+    r.rows_matched = count;
+    r.endsystems = 1;
+    auto msg = std::make_shared<SeaweedMessage>();
+    msg->kind = SeaweedMessage::Kind::kResultSubmit;
+    msg->query_id = qid;
+    msg->vertex_id = vertex;
+    msg->child_key = child;
+    msg->version = 1;
+    msg->result = std::move(r);
+    node->OnAppMessage(cluster.pastry_node(primary)->handle(), false, vertex,
+                       msg);
+    cluster.sim().RunUntil(cluster.sim().Now() + kSecond);
+  };
+  // A second child at every vertex of the path, so that each fold up it
+  // merges a new result at every level.
+  for (size_t i = 0; i < path.size(); ++i) {
+    submit(path[i], NodeId(7, i), static_cast<int64_t>(i) + 1);
+  }
+  const uint64_t before =
+      CounterValue(cluster, "seaweed.vertex_replicate_msgs");
+  submit(path[0], NodeId(8, 0), 100);
+  const uint64_t sent =
+      CounterValue(cluster, "seaweed.vertex_replicate_msgs") - before;
+  const int m = cluster.config().seaweed.vertex_backups;
+  EXPECT_GE(sent, 2u * static_cast<uint64_t>(m));
+
+  const std::vector<SeaweedMessage::ReplicaEntry> state =
+      node->VertexEntries(qid);
+  ASSERT_EQ(state.size(), 2 * path.size());
+  std::vector<int> by_distance;
+  for (int e = 0; e < n; ++e) by_distance.push_back(e);
+  std::sort(by_distance.begin(), by_distance.end(), [&](int x, int y) {
+    return cluster.pastry_node(x)->id().RingDistanceTo(qid) <
+           cluster.pastry_node(y)->id().RingDistanceTo(qid);
+  });
+  ASSERT_EQ(by_distance[0], primary);
+  for (int i = 1; i <= m; ++i) {
+    const int backup = by_distance[static_cast<size_t>(i)];
+    const auto copy = cluster.seaweed_node(backup)->VertexEntries(qid);
+    ASSERT_EQ(copy.size(), state.size()) << "backup " << backup;
+    for (size_t k = 0; k < state.size(); ++k) {
+      EXPECT_EQ(copy[k].vertex_id, state[k].vertex_id);
+      EXPECT_EQ(copy[k].child_key, state[k].child_key);
+      EXPECT_EQ(copy[k].version, state[k].version);
+      EXPECT_TRUE(copy[k].result.Identical(state[k].result));
+    }
+  }
+}
+
+TEST(IntegrationTest, ExpiredQueryStopsCostingAndStaysGone) {
+  // seaweedd's fast profile refreshes every 15 s and its queries live 14 s:
+  // a refresh after expiry must send nothing, the sweep must drop every
+  // entry, and a straggling submit or replica must not bring one back.
+  const int n = 16;
+  ClusterConfig cfg = ToyConfig(n);
+  cfg.seaweed.result_refresh_period = 15 * kSecond;
+  cfg.seaweed.query_sweep_period = kMinute;
+  SeaweedCluster cluster(cfg, MakeToyData(n));
+  cluster.BringUpAll();
+  cluster.sim().RunUntil(5 * kMinute);
+  ASSERT_EQ(cluster.CountJoined(), n);
+
+  Capture cap;
+  const SimDuration ttl = 14 * kSecond;
+  auto qid = cluster.InjectQuery(0, "SELECT COUNT(*) FROM Flow",
+                                 cap.MakeObserver(&cluster.sim()), ttl);
+  ASSERT_TRUE(qid.ok());
+  const SimTime expiry = cluster.sim().Now() + ttl;
+  cluster.sim().RunUntil(expiry + kSecond);
+  ASSERT_NE(cap.latest(), nullptr);
+  EXPECT_EQ(cap.latest()->endsystems, n);
+  auto result_bytes = [&cluster] {
+    return cluster.meter().CategoryTxBytes(TrafficCategory::kResult);
+  };
+  const uint64_t at_expiry = result_bytes();
+
+  // Every node sweeps within one sweep period of the expiry.
+  auto all_swept = [&cluster] {
+    for (int e = 0; e < n; ++e) {
+      if (cluster.seaweed_node(e)->active_query_count() != 0) return false;
+    }
+    return true;
+  };
+  while (!all_swept() && cluster.sim().Now() < expiry + 2 * kMinute) {
+    cluster.sim().RunUntil(cluster.sim().Now() + kSecond);
+  }
+  ASSERT_TRUE(all_swept());
+  EXPECT_EQ(result_bytes(), at_expiry);
+
+  const int target = 3;
+  SeaweedNode* node = cluster.seaweed_node(target);
+  const NodeId vertex = cluster.pastry_node(target)->id();
+  const overlay::NodeHandle from = cluster.pastry_node(4)->handle();
+  auto submit = std::make_shared<SeaweedMessage>();
+  submit->kind = SeaweedMessage::Kind::kResultSubmit;
+  submit->query_id = *qid;
+  submit->vertex_id = vertex;
+  submit->child_key = NodeId(5, 5);
+  submit->version = static_cast<uint64_t>(cluster.sim().Now());
+  node->OnAppMessage(from, false, vertex, submit);
+  auto replica = std::make_shared<SeaweedMessage>();
+  replica->kind = SeaweedMessage::Kind::kVertexReplicate;
+  replica->query_id = *qid;
+  replica->replicas.push_back({vertex, NodeId(6, 6), 7, {}});
+  node->OnAppMessage(from, false, vertex, replica);
+  EXPECT_EQ(node->active_query_count(), 0u);
+
+  cluster.sim().RunUntil(cluster.sim().Now() + 2 * kMinute);
+  EXPECT_EQ(node->active_query_count(), 0u);
+  EXPECT_EQ(result_bytes(), at_expiry);
 }
 
 }  // namespace

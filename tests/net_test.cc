@@ -329,7 +329,7 @@ TEST_F(SocketPairTest, FragmentsOversizedResultAndReassembles) {
   msg->query_id = NodeId(0xabc, 0xdef);
   msg->vertex_id = NodeId(1, 2);
   msg->version = 7;
-  db::AggregateResult& agg = msg->result;
+  db::AggregateResult agg;
   constexpr int kGroups = 10000;
   for (int g = 0; g < kGroups; ++g) {
     auto& states = agg.GroupStates(db::Value(static_cast<int64_t>(g)), 2);
@@ -338,6 +338,7 @@ TEST_F(SocketPairTest, FragmentsOversizedResultAndReassembles) {
   }
   agg.rows_matched = kGroups;
   agg.endsystems = 1;
+  msg->result = std::move(agg);
   {
     Writer probe;
     msg->Encode(probe);
@@ -357,10 +358,10 @@ TEST_F(SocketPairTest, FragmentsOversizedResultAndReassembles) {
     ASSERT_NE(sm, nullptr);
     EXPECT_EQ(sm->kind, SeaweedMessage::Kind::kResultDeliver);
     EXPECT_EQ(sm->query_id, NodeId(0xabc, 0xdef));
-    ASSERT_EQ(sm->result.groups.size(), static_cast<size_t>(kGroups));
-    EXPECT_EQ(sm->result.rows_matched, kGroups);
+    ASSERT_EQ(sm->result->groups.size(), static_cast<size_t>(kGroups));
+    EXPECT_EQ(sm->result->rows_matched, kGroups);
     // Spot-check a group survived the stitch intact.
-    const auto* states = sm->result.FindGroup(db::Value(int64_t{4321}));
+    const auto* states = sm->result->FindGroup(db::Value(int64_t{4321}));
     ASSERT_NE(states, nullptr);
     EXPECT_EQ((*states)[1].sum, 4321.0 * 1000);
   });

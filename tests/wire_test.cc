@@ -692,6 +692,94 @@ TEST(SeaweedCodecTest, ReplicaRepeatsPastBoundAreSpelledOut) {
   EXPECT_EQ(EncodeToBytes(*copy), bytes);
 }
 
+TEST(SeaweedCodecTest, DecodedReplicaRepeatsShareOneResult) {
+  // A decoded fan-in-1 run holds one result object, not one per vertex.
+  SeaweedMessage msg;
+  msg.kind = SeaweedMessage::Kind::kVertexReplicate;
+  const db::SharedResult run = TestResult();
+  for (uint64_t i = 0; i < 3; ++i) {
+    msg.replicas.push_back({NodeId(2, i), NodeId(9, i), i + 1, run});
+  }
+  msg.replicas.push_back({NodeId(2, 3), NodeId(9, 3), 4, {}});
+  auto copy = WireMessageCast<SeaweedMessage>(DecodeAll(EncodeToBytes(msg)));
+  ASSERT_NE(copy, nullptr);
+  ASSERT_EQ(copy->replicas, msg.replicas);
+  const db::AggregateResult* first = copy->replicas[0].result.get();
+  EXPECT_NE(first, run.get());  // decoded, not the sender's object
+  EXPECT_EQ(copy->replicas[1].result.get(), first);
+  EXPECT_EQ(copy->replicas[2].result.get(), first);
+  EXPECT_NE(copy->replicas[3].result.get(), first);
+}
+
+// The messages `batch` split into decode to the entries it was given, in
+// order, and each encodes within the cap to exactly what its sizer counted.
+void ExpectSplitPreservesEntries(
+    const ReplicaBatch& batch,
+    const std::vector<SeaweedMessage::ReplicaEntry>& entries) {
+  std::vector<SeaweedMessage::ReplicaEntry> delivered;
+  for (const SeaweedMessagePtr& msg : batch.messages()) {
+    std::vector<uint8_t> bytes = EncodeToBytes(*msg);
+    EXPECT_LE(bytes.size(), SeaweedMessage::kMaxReplicateBytes);
+    SeaweedMessage::ReplicaSizer sizer;
+    for (const auto& e : msg->replicas) sizer.Add(e.result);
+    EXPECT_EQ(sizer.bytes(), bytes.size());
+    auto copy = WireMessageCast<SeaweedMessage>(DecodeAll(bytes));
+    ASSERT_NE(copy, nullptr);
+    EXPECT_EQ(copy->query_id, batch.query_id());
+    delivered.insert(delivered.end(), copy->replicas.begin(),
+                     copy->replicas.end());
+  }
+  ASSERT_EQ(delivered.size(), entries.size());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    EXPECT_EQ(delivered[i].vertex_id, entries[i].vertex_id) << i;
+    EXPECT_EQ(delivered[i].child_key, entries[i].child_key) << i;
+    EXPECT_EQ(delivered[i].version, entries[i].version) << i;
+    EXPECT_TRUE(delivered[i].result.Identical(entries[i].result)) << i;
+  }
+}
+
+TEST(ReplicaBatchTest, FoldOfDistinctLargeResultsSplitsAtTheCap) {
+  // Twelve distinct ~1 MiB results (a run of multi-child vertices over a
+  // big GROUP BY) would make one ~12 MiB message, past the socket cap.
+  ReplicaBatch batch(NodeId(1, 1));
+  std::vector<SeaweedMessage::ReplicaEntry> entries;
+  for (uint64_t i = 0; i < 12; ++i) {
+    db::AggregateResult r = LargeResult();
+    r.rows_matched = static_cast<int64_t>(i);
+    entries.push_back({NodeId(4, i), NodeId(3, i), i + 1, std::move(r)});
+    batch.Add(entries.back());
+  }
+  EXPECT_GE(batch.messages().size(), 2u);
+  ExpectSplitPreservesEntries(batch, entries);
+}
+
+TEST(ReplicaBatchTest, RepeatsSpelledOutPastTheBoundStillFit) {
+  // One 1 MiB result down a run of twenty vertices: repeats go as flags
+  // until the decoded size reaches its bound, then are spelled out, which
+  // the split must count.
+  ReplicaBatch batch(NodeId(1, 1));
+  std::vector<SeaweedMessage::ReplicaEntry> entries;
+  const db::SharedResult run = LargeResult();
+  for (uint64_t i = 0; i < 20; ++i) {
+    entries.push_back({NodeId(4, i), NodeId(4, i + 1), i + 1, run});
+    batch.Add(entries.back());
+  }
+  EXPECT_GE(batch.messages().size(), 2u);
+  ExpectSplitPreservesEntries(batch, entries);
+}
+
+TEST(ReplicaBatchTest, SmallFoldIsOneMessage) {
+  ReplicaBatch batch(NodeId(1, 1));
+  std::vector<SeaweedMessage::ReplicaEntry> entries;
+  for (uint64_t i = 0; i < 40; ++i) {
+    entries.push_back({NodeId(4, i), NodeId(4, i + 1), i + 1, TestResult()});
+    batch.Add(entries.back());
+  }
+  ASSERT_EQ(batch.messages().size(), 1u);
+  EXPECT_EQ(batch.messages()[0]->replicas, entries);
+  ExpectSplitPreservesEntries(batch, entries);
+}
+
 TEST(SeaweedCodecTest, ReplicaRepeatNeedsIdenticalBytes) {
   // AggregateResult::operator== equates these pairs, but they encode
   // differently: each must be sent as itself, or the backup would get the
@@ -718,8 +806,8 @@ TEST(SeaweedCodecTest, ReplicaRepeatNeedsIdenticalBytes) {
   auto copy = WireMessageCast<SeaweedMessage>(DecodeAll(EncodeToBytes(msg)));
   ASSERT_NE(copy, nullptr);
   ASSERT_EQ(copy->replicas.size(), 4u);
-  EXPECT_TRUE(std::signbit(copy->replicas[1].result.states[0].sum));
-  EXPECT_TRUE(copy->replicas[3].result.groups[0].first.is_double());
+  EXPECT_TRUE(std::signbit(copy->replicas[1].result->states[0].sum));
+  EXPECT_TRUE(copy->replicas[3].result->groups[0].first.is_double());
 }
 
 TEST(CorruptInputTest, TrailingGarbageDetectable) {
@@ -799,12 +887,15 @@ TEST(DoublePropertyTest, NaNResultIsRejectedOnDecode) {
   // than hand a garbage state to the aggregation tree.
   SeaweedMessage msg;
   msg.kind = SeaweedMessage::Kind::kResultSubmit;
-  msg.result.states.resize(1);
-  msg.result.states[0].min = -std::numeric_limits<double>::infinity();
-  msg.result.states[0].max = -0.0;
+  db::AggregateResult result;
+  result.states.resize(1);
+  result.states[0].min = -std::numeric_limits<double>::infinity();
+  result.states[0].max = -0.0;
+  msg.result = result;
   ExpectFixpoint(msg);
 
-  msg.result.states[0].sum = std::numeric_limits<double>::quiet_NaN();
+  result.states[0].sum = std::numeric_limits<double>::quiet_NaN();
+  msg.result = result;
   std::vector<uint8_t> bytes = EncodeToBytes(msg);
   Reader r(bytes);
   auto decoded = DecodeWireMessage(r);
@@ -884,9 +975,9 @@ TEST(RandomizedFixpointTest, AllSeaweedKinds) {
     for (uint64_t n = rng.NextBelow(4); n > 0; --n) {
       // Per-entry vertex ids; about half the entries repeat the previous
       // entry's result, as in a fan-in-1 run.
-      db::AggregateResult result =
+      db::SharedResult result =
           msg.replicas.empty() || rng.NextBelow(2) == 0
-              ? RandomResult(rng)
+              ? db::SharedResult(RandomResult(rng))
               : msg.replicas.back().result;
       msg.replicas.push_back(
           {RandomId(rng), RandomId(rng), rng.Next(), std::move(result)});
